@@ -1,0 +1,105 @@
+"""Stage timings of the exact worst-start TV scan on constant-bias exclusion.
+
+    python3 benchmarks/tv_scan.py [--label NAME] [--out FILE]
+
+The chain is criterion 6b's: bias 0.75, n1 = total // 2.  At totals 12 and
+14 (924 and 3432 states) it times, with ``time.perf_counter``:
+
+- ``row_us``: the kernel's ``transitions`` over every state, per row;
+- ``build_s``: ``build_matrix``, as the CLI builds it;
+- ``stationary_s``: ``stationary_exact``;
+- ``tv64_s``: a 64-step ``tv_curve``.
+
+Each of these is the best of three runs.  Then it times the full
+total-14 worst-start scan once (``mixing_time_exact``, eps 1/4, tmax 768),
+which must give tau = 550.  The package is imported from this checkout's
+``src/``.  The usable cores and the load average before and after are
+recorded beside the numbers, which are printed and written as JSON
+(default ``BENCH_tv_scan.json`` next to this script).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from biasedperm import analysis  # noqa: E402
+from biasedperm.kernels import GeneralizedExclusionChain, constant_bias  # noqa: E402
+
+TOTALS = (12, 14)
+CURVE_STEPS = 64
+REPEATS = 3
+FULL_TOTAL, FULL_TMAX, FULL_TAU, EPS = 14, 768, 550, 0.25
+
+
+def _kernel(total):
+    return GeneralizedExclusionChain(constant_bias(0.75), total // 2, total - total // 2)
+
+
+def _best(fn):
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+def _stages(total):
+    kernel = _kernel(total)
+    space = analysis.space_for_kernel(kernel)
+    rows_s, _ = _best(lambda: [kernel.transitions(s) for s in space.states])
+    build_s, matrix = _best(lambda: analysis.build_matrix(kernel, space))
+    stationary_s, pi = _best(lambda: analysis.stationary_exact(matrix))
+    tv_s, curve = _best(lambda: analysis.tv_curve(matrix, pi, CURVE_STEPS))
+    return {"states": len(space), "row_us": 1e6 * rows_s / len(space),
+            "build_s": build_s, "stationary_s": stationary_s,
+            f"tv{CURVE_STEPS}_s": tv_s, f"tv{CURVE_STEPS}_last": float(curve[-1])}
+
+
+def _full_scan():
+    kernel = _kernel(FULL_TOTAL)
+    matrix = analysis.build_matrix(kernel, analysis.space_for_kernel(kernel))
+    pi = analysis.stationary_exact(matrix)
+    start = time.perf_counter()
+    tau = analysis.mixing_time_exact(matrix, pi, EPS, tmax=FULL_TMAX)
+    seconds = time.perf_counter() - start
+    if tau != FULL_TAU:
+        raise SystemExit(f"total-{FULL_TOTAL} scan gave tau = {tau}, expected {FULL_TAU}")
+    return {"total": FULL_TOTAL, "tmax": FULL_TMAX, "eps": EPS, "tau": tau,
+            "s": seconds}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="current")
+    parser.add_argument("--out", type=Path, default=HERE / "BENCH_tv_scan.json")
+    args = parser.parse_args(argv)
+
+    load_before = os.getloadavg()
+    record = {"label": args.label,
+              "host": {"usable_cores": len(os.sched_getaffinity(0)),
+                       "python": platform.python_version(),
+                       "numpy": np.__version__, "scipy": scipy.__version__}}
+    record["totals"] = {str(total): _stages(total) for total in TOTALS}
+    record["full_scan"] = _full_scan()
+    record["host"]["loadavg_before"] = load_before
+    record["host"]["loadavg_after"] = os.getloadavg()
+    text = json.dumps(record, indent=1)
+    print(text)
+    args.out.write_text(text + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,7 +11,10 @@ the reversible-chain setting of the gap and comparison bounds.
 from __future__ import annotations
 
 import math
+import os
 from array import array
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import permutations as _itperms
 
@@ -26,6 +29,7 @@ from .kernels import ChainKernel, GeneralizedExclusionChain, mtk_moves
 from .model import ClassPartition, ProbabilitySet, uniform_set, validate_kclass
 
 DEFAULT_BUDGET = 50_000
+_TV_BLOCK = 128  # starts per column block of the TV scan; 64..256 time alike
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +314,64 @@ def spectral_gap(matrix: np.ndarray, pi: np.ndarray | None = None, *,
     return 1.0 - float(second)
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _tv_iter(matrix: np.ndarray, pi: np.ndarray):
-    """Yield (t, worst-start TV distance) for t = 0, 1, 2, ..."""
+    """Yield (t, worst-start TV distance) for t = 0, 1, 2, ...
+
+    Every start is evolved: the laws are held as C-contiguous n x b blocks
+    whose column c is the law of the chain started at state s + c, and each
+    step applies P^T (CSR, sorted indices) to every block, spread over a
+    thread pool when there is more than one block and more than one usable
+    core.  The product sums each entry over the source states in ascending
+    order and the axis-0 reduction adds the states in index order, the
+    summation order of the whole-matrix propagation P^t @ csr(P); the tests
+    hold the curve bit-identical to it.  Close the generator to release the
+    pool.
+    """
     n = matrix.shape[0]
-    op = sp.csr_matrix(matrix) if n > 256 else matrix
-    power = np.eye(n)
-    t = 0
-    while True:
-        yield t, 0.5 * float(np.abs(power - pi).sum(axis=1).max())
-        power = power @ op
-        if not isinstance(power, np.ndarray):
-            power = np.asarray(power)
-        t += 1
+    forward = sp.csr_matrix(matrix.T)
+    forward.sort_indices()
+    worst = 0.0
+    blocks = []
+    # t = 0 reduces rows of the identity along their contiguous axis, which
+    # sums in the same (pairwise) order as the full n x n identity did
+    for s in range(0, n, _TV_BLOCK):
+        width = min(_TV_BLOCK, n - s)
+        rows = np.zeros((width, n))
+        rows[np.arange(width), np.arange(s, s + width)] = 1.0
+        worst = max(worst, float(np.abs(rows - pi).sum(axis=1).max()))
+        blocks.append(np.ascontiguousarray(rows.T))
+    yield 0, 0.5 * worst
+
+    column = pi[:, None]
+
+    def advance(k):
+        blocks[k] = forward @ blocks[k]
+        return float(np.abs(blocks[k] - column).sum(axis=0).max())
+
+    order = range(len(blocks))
+    workers = min(len(blocks), _usable_cores())
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        t = 0
+        while True:
+            t += 1
+            values = pool.map(advance, order) if pool else map(advance, order)
+            yield t, 0.5 * max(values)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def tv_curve(matrix: np.ndarray, pi: np.ndarray, tmax: int) -> np.ndarray:
     """Worst-start total variation distance at t = 0..tmax."""
-    it = _tv_iter(matrix, pi)
-    return np.array([next(it)[1] for _ in range(tmax + 1)])
+    with closing(_tv_iter(matrix, pi)) as it:
+        return np.array([next(it)[1] for _ in range(tmax + 1)])
 
 
 def _check_monotone(curve, upto: int):
@@ -351,25 +395,25 @@ def mixing_time_exact(matrix: np.ndarray, pi: np.ndarray, eps: float,
     if eps <= 0:
         raise ValidationError("eps must be positive")
     hard_cap = tmax if tmax is not None else 1 << 20
-    it = _tv_iter(matrix, pi)
-    curve = [next(it)[1]]
-    crossing = None if curve[0] > eps else 0
-    t = 0
-    while True:
-        if crossing is not None:
-            horizon = tmax if tmax is not None else max(2 * crossing, crossing + 16)
-            if t >= horizon:
+    with closing(_tv_iter(matrix, pi)) as it:
+        curve = [next(it)[1]]
+        crossing = None if curve[0] > eps else 0
+        t = 0
+        while True:
+            if crossing is not None:
+                horizon = tmax if tmax is not None else max(2 * crossing, crossing + 16)
+                if t >= horizon:
+                    break
+            elif tmax is not None and t >= tmax:
                 break
-        elif tmax is not None and t >= tmax:
-            break
-        if t >= hard_cap and crossing is None:
-            raise BudgetExceededError(
-                f"TV distance still {curve[-1]} > {eps} at the horizon t={t}"
-            )
-        t, value = next(it)
-        curve.append(value)
-        if crossing is None and value <= eps:
-            crossing = t
+            if t >= hard_cap and crossing is None:
+                raise BudgetExceededError(
+                    f"TV distance still {curve[-1]} > {eps} at the horizon t={t}"
+                )
+            t, value = next(it)
+            curve.append(value)
+            if crossing is None and value <= eps:
+                crossing = t
     _check_monotone(curve, len(curve) - 1)
     over = [t for t, v in enumerate(curve) if v > eps]
     if over and over[-1] == len(curve) - 1:

@@ -323,9 +323,14 @@ def transitions_me(word, bias) -> dict:
     depend on the entire word.
     """
     word = tuple(word)
-    n = len(word)
     if any(x not in (0, 1) for x in word):
         raise ValidationError(f"exclusion words are over {{0, 1}}, got {word}")
+    return _me_row(word, bias)
+
+
+def _me_row(word: tuple, bias) -> dict:
+    """The row of ``transitions_me`` for a word already known to be binary."""
+    n = len(word)
     targets: dict = {}
     if n < 2:
         return _finish_row(word, targets)
@@ -578,11 +583,17 @@ class GeneralizedExclusionChain(ChainKernel):
         self.n0 = int(n0)
 
     def transitions(self, state):
-        if sum(state) != self.n1 or len(state) != self.n1 + self.n0:
+        word = tuple(state)
+        # n1 ones and n0 zeros in a word of length n1 + n0 leave room for
+        # nothing else, so this one check validates the word
+        if (len(word) == self.n1 + self.n0 and word.count(1) == self.n1
+                and word.count(0) == self.n0):
+            return _me_row(word, self.bias)
+        if sum(word) != self.n1 or len(word) != self.n1 + self.n0:
             raise ValidationError(
                 f"word {state} does not have {self.n1} ones and {self.n0} zeros"
             )
-        return transitions_me(state, self.bias)
+        return transitions_me(word, self.bias)  # raises: a label outside {0, 1}
 
 
 def make_kernel(name: str, *, prob_set=None, partition=None, tree=None,

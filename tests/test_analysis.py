@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -225,6 +228,27 @@ class TestSpectralGap:
             spectral_gap(matrix, np.full(3, 1 / 3))
 
 
+@lru_cache(maxsize=None)
+def _exclusion_matrix(total):
+    """Criterion 6b's chain (bias 0.75, n1 = total // 2): matrix and pi."""
+    kernel = GeneralizedExclusionChain(constant_bias(0.75), total // 2,
+                                       total - total // 2)
+    matrix = build_matrix(kernel, space_for_kernel(kernel))
+    return matrix, stationary_exact(matrix)
+
+
+def _former_tv_curve(matrix, pi, tmax):
+    """The propagation the column-block scan replaced: the whole power P^t,
+    times dense P up to 256 states and CSR P above, reduced row by row."""
+    op = sp.csr_matrix(matrix) if matrix.shape[0] > 256 else matrix
+    power = np.eye(matrix.shape[0])
+    curve = []
+    for _ in range(tmax + 1):
+        curve.append(0.5 * float(np.abs(power - pi).sum(axis=1).max()))
+        power = np.asarray(power @ op)
+    return np.array(curve)
+
+
 class TestMixing:
     def test_two_state_identical_rows(self):
         ps = constant_bias_set(2, 0.6)
@@ -284,6 +308,66 @@ class TestMixing:
     def test_bracket_single_state(self):
         kernel = GeneralizedExclusionChain(constant_bias(0.75), 3, 0)
         assert mixing_bracket(kernel, 0.25) == (0, 0)
+
+    def test_tv_curve_is_the_former_csr_propagation_bit_for_bit(self):
+        matrix, pi = _exclusion_matrix(12)
+        assert matrix.shape[0] > 256  # the former CSR route
+        assert np.array_equal(tv_curve(matrix, pi, 200),
+                              _former_tv_curve(matrix, pi, 200))
+
+    @pytest.mark.parametrize("total", [6, 8, 10])
+    def test_tv_curve_matches_the_former_dense_propagation(self, total):
+        matrix, pi = _exclusion_matrix(total)
+        assert matrix.shape[0] <= 256  # the former dense route
+        np.testing.assert_allclose(tv_curve(matrix, pi, 200),
+                                   _former_tv_curve(matrix, pi, 200),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("tmax", [None, 768])
+    def test_exclusion_tau_at_totals_6_to_12(self, tmax):
+        taus = [mixing_time_exact(*_exclusion_matrix(total), 0.25, tmax)
+                for total in (6, 8, 10, 12)]
+        assert taus == [57, 132, 240, 379]
+
+    def test_tv_curve_is_deterministic_across_threads(self, monkeypatch):
+        matrix, pi = _exclusion_matrix(12)
+        threaded = tv_curve(matrix, pi, 50)
+        assert np.array_equal(tv_curve(matrix, pi, 50), threaded)
+        # more workers than cores, switching threads as often as possible: a
+        # lost or misplaced block update would change the curve
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stressed = tv_curve(matrix, pi, 50)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(stressed, threaded)
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
+        assert np.array_equal(tv_curve(matrix, pi, 50), threaded)
+
+    def test_scan_leaves_no_thread_behind(self):
+        matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks
+        before = threading.active_count()
+        tv_curve(matrix, pi, 5)
+        mixing_time_exact(matrix, pi, 0.25, tmax=300)
+        with pytest.raises(BudgetExceededError):
+            mixing_time_exact(matrix, pi, 0.25, tmax=5)
+        it = analysis._tv_iter(matrix, pi)
+        next(it), next(it)
+        it.close()
+        assert threading.active_count() == before
+
+    def test_single_block_or_core_runs_inline(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+        matrix, pi = _exclusion_matrix(6)  # 20 states: one block
+        assert mixing_time_exact(matrix, pi, 0.25) == 57
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
+        matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks
+        assert mixing_time_exact(matrix, pi, 0.25) == 240
 
     @pytest.mark.parametrize("chain", ["mnn", "mtk", "me"])
     def test_dense_is_the_csr_bit_for_bit(self, chain):

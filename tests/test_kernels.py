@@ -292,6 +292,30 @@ class TestMe:
         with pytest.raises(ValidationError):
             transitions_me((1, 0), lambda w, i: 1.0)
 
+    @pytest.mark.parametrize("state", [
+        (1, 1, 0), (1, 1, 0, 0, 0), (2, 1, 0, 0), [2, 1, 0, 0], (1, 1, 1, 0),
+        (2, 0, 0, 0), [0.5, 0.5, 1, 0], (1, 1, 0, -0.0), [1, 0, 1, 0],
+        (True, 1, 0, False),
+    ])
+    def test_chain_validation_matches_the_two_step_check(self, state):
+        # reference: the ones count and the length first, then
+        # transitions_me's scan for labels outside {0, 1}
+        kernel = GeneralizedExclusionChain(constant_bias(0.7), 2, 2)
+
+        def former(state):
+            if sum(state) != 2 or len(state) != 4:
+                raise ValidationError(f"word {state} does not have 2 ones and 2 zeros")
+            return transitions_me(state, kernel.bias)
+
+        try:
+            expected = former(state)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                kernel.transitions(state)
+            assert str(caught.value) == str(exc)
+        else:
+            assert kernel.transitions(state) == expected
+
     def test_square_table(self, tmp_path):
         table = {"h": 1, "w": 2, "bias": {"(1,1)": "2.0", "(2,1)": "1.5"}}
         bias = square_table_bias(table)
