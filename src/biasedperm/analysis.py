@@ -1,11 +1,19 @@
 """Exact state-space analysis and the canonical-path comparison machinery.
 
 Everything here works on explicitly enumerated state spaces with
-row-stochastic matrices, built once in CSR form (``build_csr``) and
-handed out dense by ``build_matrix``.  Eigenvalues are always computed on the
-symmetrized reversible form D^(1/2) P D^(-1/2); reversibility is asserted
-first via the detailed-balance scan, which keeps spectra real and matches
-the reversible-chain setting of the gap and comparison bounds.
+row-stochastic matrices built once in CSR form (``build_csr``).  The
+irreducibility check, the stationary solve, the detailed-balance scan, the
+spectral gap, the TV scan and the congestion constant take the CSR matrix
+as it is and accept a dense array by converting it with ``sp.csr_matrix``;
+``build_matrix`` is the dense form, for callers that slice dense blocks
+(``verify_decomposition``).  Besides the laws of the worst-start TV scan,
+the only n x n array this allocates is the linear system of
+``stationary_exact`` (and, up to ``dense_cutoff`` states, the symmetrized
+matrix of ``spectral_gap``).
+Eigenvalues are always computed on the symmetrized reversible form
+D^(1/2) P D^(-1/2); reversibility is asserted first via the
+detailed-balance scan, which keeps spectra real and matches the
+reversible-chain setting of the gap and comparison bounds.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from itertools import permutations as _itperms
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import permcore
 from .errors import BudgetExceededError, PropertyViolationError, ValidationError
@@ -158,43 +167,56 @@ def build_matrix(kernel: ChainKernel, space: StateSpace) -> np.ndarray:
     return build_csr(kernel, space).toarray()
 
 
-def is_irreducible(matrix: np.ndarray) -> bool:
-    """Strong connectivity of the positive-support graph (two BFS passes)."""
-    return _reaches_all(matrix) and _reaches_all(matrix.T)
+def is_irreducible(matrix: sp.spmatrix | np.ndarray) -> bool:
+    """Strong connectivity of the positive-support graph.
+
+    Stored entries that are not positive, such as the explicit 0.0
+    self-loops the kernels list, are not edges.
+    """
+    support = sp.csr_matrix(matrix) > 0
+    # connected_components does not return on a CSR with duplicate entries
+    support.sum_duplicates()
+    count, _ = connected_components(support, directed=True, connection="strong")
+    return count == 1
 
 
-def _reaches_all(matrix: np.ndarray) -> bool:
-    n = matrix.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.nonzero(matrix[u] > 0)[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
-        frontier = nxt
-    return bool(seen.all())
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not say."""
+    if hasattr(os, "sysconf"):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return math.inf
 
 
 # ---------------------------------------------------------------------------
 # stationary distributions and detailed balance
 
 
-def stationary_exact(matrix: np.ndarray) -> np.ndarray:
+def stationary_exact(matrix: sp.spmatrix | np.ndarray) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 by a direct linear solve.
 
     Requires an irreducible matrix; a singular or badly solved system is
-    reported as such (it signals reducibility or a kernel bug).
+    reported as such (it signals reducibility or a kernel bug).  The solve
+    is dense LU: the system and LAPACK's copy of it take 16 n^2 bytes, and a
+    size whose two copies exceed physical memory is refused with
+    ``BudgetExceededError`` before anything is allocated.
     """
+    matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
     if n == 1:
         return np.ones(1)
+    need = 2 * 8 * n * n  # float64 system plus LAPACK's copy
+    memory = _physical_memory()
+    if need > memory:
+        raise BudgetExceededError(
+            f"the dense stationary solve over {n} states needs {need / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
     if not is_irreducible(matrix):
         raise ValidationError("matrix is not irreducible")
-    a = matrix.T - np.eye(n)
+    # P^T - I with exact entries (m_ji off the diagonal, m_ii - 1.0 on it),
+    # so the LU sees the same system from CSR and from dense input
+    a = matrix.T.tocsr().toarray()
+    a[np.diag_indices(n)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -202,7 +224,7 @@ def stationary_exact(matrix: np.ndarray) -> np.ndarray:
         pi = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise PropertyViolationError(f"stationary solve failed: {exc}") from exc
-    residual = float(np.abs(pi @ matrix - pi).max())
+    residual = float(np.abs(matrix.T @ pi - pi).max())
     if residual > 1e-9 or pi.min() < -1e-12:
         raise PropertyViolationError(
             f"stationary solve did not converge (residual {residual}, min {pi.min()})"
@@ -244,36 +266,39 @@ class BalanceReport:
     col: int
 
 
-def check_detailed_balance(matrix: np.ndarray, pi: np.ndarray,
-                           block: int = 512) -> BalanceReport:
-    """Largest |pi(x)P(x,y) - pi(y)P(y,x)| over all pairs, with its witness."""
-    n = matrix.shape[0]
-    worst = -1.0
-    at = (0, 0)
-    for start in range(0, n, block):
-        rows = slice(start, min(start + block, n))
-        flow = pi[rows, None] * matrix[rows, :]
-        back = (matrix[:, rows] * pi[:, None]).T
-        diff = np.abs(flow - back)
-        k = int(diff.argmax())
-        r, c = divmod(k, n)
-        if diff[r, c] > worst:
-            worst = float(diff[r, c])
-            at = (start + r, c)
-    return BalanceReport(max_violation=worst, row=at[0], col=at[1])
+def check_detailed_balance(matrix: sp.spmatrix | np.ndarray,
+                           pi: np.ndarray) -> BalanceReport:
+    """Largest |pi(x)P(x,y) - pi(y)P(y,x)| over all pairs, with its witness.
+
+    Only pairs where P(x,y) or P(y,x) is stored can violate the balance.
+    The witness is the first maximal pair in row-major order, and (0, 0)
+    when every pair balances exactly.
+    """
+    matrix = sp.csr_matrix(matrix)
+    flow = sp.csr_matrix(
+        (np.repeat(pi, np.diff(matrix.indptr)) * matrix.data, matrix.indices,
+         matrix.indptr), shape=matrix.shape)
+    diff = abs(flow - flow.T).tocoo()
+    worst = float(diff.data.max()) if diff.nnz else 0.0
+    if worst == 0.0:
+        return BalanceReport(max_violation=worst, row=0, col=0)
+    hits = np.flatnonzero(diff.data == worst)
+    first = hits[np.lexsort((diff.col[hits], diff.row[hits]))[0]]
+    return BalanceReport(max_violation=worst, row=int(diff.row[first]),
+                         col=int(diff.col[first]))
 
 
 # ---------------------------------------------------------------------------
 # spectra, total variation, mixing
 
 
-def spectral_gap(matrix: np.ndarray, pi: np.ndarray | None = None, *,
-                 balance_tol: float = 1e-8, dense_cutoff: int = 2000) -> float:
+def spectral_gap(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray | None = None,
+                 *, balance_tol: float = 1e-8, dense_cutoff: int = 2000) -> float:
     """1 minus the second-largest eigenvalue modulus of a reversible matrix.
 
     Parameters
     ----------
-    matrix : row-stochastic square array
+    matrix : row-stochastic square matrix, CSR or dense
     pi : stationary distribution; computed exactly when omitted
     balance_tol : reversibility is asserted first at this tolerance
     dense_cutoff : above this size the top and bottom of the spectrum are
@@ -283,6 +308,7 @@ def spectral_gap(matrix: np.ndarray, pi: np.ndarray | None = None, *,
     A 1-state chain has gap 1 by convention, which keeps decomposition
     inequalities evaluable on degenerate partitions.
     """
+    matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
     if n == 1:
         return 1.0
@@ -301,12 +327,12 @@ def spectral_gap(matrix: np.ndarray, pi: np.ndarray | None = None, *,
         )
     root = np.sqrt(pi)
     if n <= dense_cutoff:
-        sym = matrix * (root[:, None] / root[None, :])
+        sym = matrix.toarray() * (root[:, None] / root[None, :])
         sym = 0.5 * (sym + sym.T)
         vals = np.linalg.eigvalsh(sym)
         second = max(abs(vals[-2]), abs(vals[0]))
     else:
-        scaled = sp.diags(root) @ sp.csr_matrix(matrix) @ sp.diags(1.0 / root)
+        scaled = sp.diags(root) @ matrix @ sp.diags(1.0 / root)
         sym = 0.5 * (scaled + scaled.T)
         top = spla.eigsh(sym, k=2, which="LA", return_eigenvectors=False)
         bottom = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False)
@@ -756,14 +782,16 @@ class CongestionReport:
         return self.constant
 
 
-def congestion(nn_matrix: np.ndarray, paths: list[PathRecord], pi: np.ndarray,
-               space: StateSpace) -> CongestionReport:
+def congestion(nn_matrix: sp.spmatrix | np.ndarray, paths: list[PathRecord],
+               pi: np.ndarray, space: StateSpace) -> CongestionReport:
     """Congestion of a path family over the adjacent-transposition edges.
 
     For each directed edge (z, w) of the nearest-neighbor chain the load
     is sum over paths through it of |path| pi(x) P'(x, y); the constant is
     the maximum load divided by pi(z) P(z, w).
     """
+    nn_matrix = sp.csr_matrix(nn_matrix)
+    index = space.index
     counts: dict[tuple[int, int], int] = {}
     loads: dict[tuple[int, int], float] = {}
     max_len = 0
@@ -771,21 +799,31 @@ def congestion(nn_matrix: np.ndarray, paths: list[PathRecord], pi: np.ndarray,
         length = rec.path.length
         max_len = max(max_len, length)
         contribution = length * pi[rec.x_index] * rec.prob
-        for a, bstate in zip(rec.path.states[:-1], rec.path.states[1:]):
-            u, v = space.index[a], space.index[bstate]
-            if nn_matrix[u, v] <= 0:
-                raise PropertyViolationError(
-                    f"path step {a} -> {bstate} is not a nearest-neighbor edge"
-                )
-            counts[(u, v)] = counts.get((u, v), 0) + 1
-            loads[(u, v)] = loads.get((u, v), 0.0) + contribution
+        states = rec.path.states
+        for a, bstate in zip(states[:-1], states[1:]):
+            edge = (index[a], index[bstate])
+            counts[edge] = counts.get(edge, 0) + 1
+            loads[edge] = loads.get(edge, 0.0) + contribution
     best = 0.0
     best_edge = None
-    for (u, v), load in loads.items():
-        value = load / (pi[u] * nn_matrix[u, v])
-        if value > best:
-            best = value
-            best_edge = (space.states[u], space.states[v])
+    if loads:
+        edges = np.array(list(loads), dtype=np.int64)
+        rates = np.asarray(nn_matrix[edges[:, 0], edges[:, 1]]).ravel()
+        # edges are in order of first use, so the first bad one is the
+        # first path step that leaves the nearest-neighbor chain
+        bad = np.flatnonzero(rates <= 0)
+        if bad.size:
+            u, v = edges[bad[0]]
+            raise PropertyViolationError(
+                f"path step {space.states[u]} -> {space.states[v]} is not a "
+                "nearest-neighbor edge"
+            )
+        values = (np.fromiter(loads.values(), float, len(loads))
+                  / (pi[edges[:, 0]] * rates))
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best = float(values[k])
+            best_edge = (space.states[edges[k, 0]], space.states[edges[k, 1]])
     return CongestionReport(constant=best, argmax_edge=best_edge,
                             max_path_count=max(counts.values()) if counts else 0,
                             max_path_len=max_len, n_paths=len(paths),
@@ -847,7 +885,7 @@ def gap_scaling(family, sizes, budget: int = DEFAULT_BUDGET) -> ScalingFit:
     for size in sizes:
         kernel = family(size)
         space = space_for_kernel(kernel, budget=budget)
-        matrix = build_matrix(kernel, space)
+        matrix = build_csr(kernel, space)
         pi = stationary_exact(matrix)
         values.append(1.0 / spectral_gap(matrix, pi))
     return fit_loglog(sizes, values)
@@ -863,14 +901,14 @@ def fill_spot_check(n: int, count: int, seed: int):
     from .model import random_monotone_set
 
     space = enumerate_states("permutations", n=n)
-    uniform_matrix = build_matrix(AdjacentTranspositionChain(uniform_set(n)), space)
+    uniform_matrix = build_csr(AdjacentTranspositionChain(uniform_set(n)), space)
     uniform_gap = spectral_gap(uniform_matrix)
     gaps = []
     violations = []
     for k in range(count):
         rng = np.random.default_rng([seed, k])
         prob_set = random_monotone_set(n, rng)
-        matrix = build_matrix(AdjacentTranspositionChain(prob_set), space)
+        matrix = build_csr(AdjacentTranspositionChain(prob_set), space)
         gap = spectral_gap(matrix)
         gaps.append(gap)
         if gap < uniform_gap - 1e-12:

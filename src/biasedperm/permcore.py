@@ -9,6 +9,7 @@ C(n, 2) probabilities and underflows in linear space near n = 60.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,8 +34,16 @@ def log_weight(sigma, prob_set: ProbabilitySet) -> float:
     """
     idx = np.asarray(sigma, dtype=int) - 1
     sub = prob_set.p[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), k=1)
-    return float(np.log(sub[iu]).sum())
+    return float(np.log(sub[_upper_pairs(len(idx))]).sum())
+
+
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple:
+    """Index arrays of the strict upper triangle of an n x n array, read-only."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def weight_ratio_transposition(sigma, i: int, j: int, prob_set: ProbabilitySet) -> float:

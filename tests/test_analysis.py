@@ -55,7 +55,7 @@ from biasedperm.kernels import (
     word_hash_bias,
 )
 
-from conftest import seeded_kclass
+from conftest import random_league_tree, seeded_kclass
 
 
 class TestEnumerate:
@@ -174,6 +174,7 @@ class TestDetailedBalance:
         matrix = build_matrix(AdjacentTranspositionChain(uniform_set(3)), space)
         report = check_detailed_balance(matrix, np.full(6, 1 / 6))
         assert report.max_violation == 0.0
+        assert (report.row, report.col) == (0, 0)
 
     def test_class_chain_balances(self):
         ps, part = seeded_kclass(5, 3, seed=4)
@@ -193,6 +194,194 @@ class TestDetailedBalance:
         report = check_detailed_balance(matrix, pi)
         assert report.max_violation == pytest.approx(pi[x] * 1e-3, rel=1e-6)
         assert {report.row, report.col} == {x, y}
+
+
+def _former_reaches_all(matrix):
+    """The BFS the strong-components check replaced: all states reached from 0."""
+    n = matrix.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in np.nonzero(matrix[u] > 0)[0]:
+                if not seen[v]:
+                    seen[v] = True
+                    nxt.append(int(v))
+        frontier = nxt
+    return bool(seen.all())
+
+
+def _former_stationary_exact(matrix):
+    """The dense stationary solve the CSR pipeline replaced (dense input)."""
+    n = matrix.shape[0]
+    if not (_former_reaches_all(matrix) and _former_reaches_all(matrix.T)):
+        raise ValidationError("matrix is not irreducible")
+    a = matrix.T - np.eye(n)
+    a[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(a, b)
+    residual = float(np.abs(pi @ matrix - pi).max())
+    if residual > 1e-9 or pi.min() < -1e-12:
+        raise PropertyViolationError("stationary solve did not converge")
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def _former_check_detailed_balance(matrix, pi, block=512):
+    """The dense block scan the CSR pipeline replaced (dense input)."""
+    n = matrix.shape[0]
+    worst = -1.0
+    at = (0, 0)
+    for start in range(0, n, block):
+        rows = slice(start, min(start + block, n))
+        flow = pi[rows, None] * matrix[rows, :]
+        back = (matrix[:, rows] * pi[:, None]).T
+        diff = np.abs(flow - back)
+        k = int(diff.argmax())
+        r, c = divmod(k, n)
+        if diff[r, c] > worst:
+            worst = float(diff[r, c])
+            at = (start + r, c)
+    return analysis.BalanceReport(max_violation=worst, row=at[0], col=at[1])
+
+
+def _former_congestion(nn_matrix, paths, pi, space):
+    """The per-step dense lookup the CSR pipeline replaced (dense input)."""
+    counts, loads = {}, {}
+    max_len = 0
+    for rec in paths:
+        length = rec.path.length
+        max_len = max(max_len, length)
+        contribution = length * pi[rec.x_index] * rec.prob
+        for a, bstate in zip(rec.path.states[:-1], rec.path.states[1:]):
+            u, v = space.index[a], space.index[bstate]
+            if nn_matrix[u, v] <= 0:
+                raise PropertyViolationError(
+                    f"path step {a} -> {bstate} is not a nearest-neighbor edge"
+                )
+            counts[(u, v)] = counts.get((u, v), 0) + 1
+            loads[(u, v)] = loads.get((u, v), 0.0) + contribution
+    best = 0.0
+    best_edge = None
+    for (u, v), load in loads.items():
+        value = load / (pi[u] * nn_matrix[u, v])
+        if value > best:
+            best = value
+            best_edge = (space.states[u], space.states[v])
+    return analysis.CongestionReport(
+        constant=best, argmax_edge=best_edge,
+        max_path_count=max(counts.values()) if counts else 0,
+        max_path_len=max_len, n_paths=len(paths), edge_counts=counts)
+
+
+def _pipeline_kernel(chain):
+    prob_set, partition = seeded_kclass(6, 3, seed=[707, 1])
+    if chain == "mnn":
+        return AdjacentTranspositionChain(prob_set)
+    if chain == "mtk":
+        return ClassTranspositionChain(prob_set, partition)
+    if chain == "mtree":
+        return TreeSwapChain(random_league_tree(6, np.random.default_rng([707, 2])))
+    if chain == "mk1":
+        return CrossClassChain(prob_set, partition)
+    if chain == "mpp":
+        return ParticleProcessChain(prob_set, partition)
+    return GeneralizedExclusionChain(constant_bias(0.75), 6, 6)
+
+
+class TestCsrPipeline:
+    @pytest.mark.parametrize("chain", ["mnn", "mtk", "mtree", "mk1", "mpp", "me"])
+    def test_csr_input_matches_the_former_dense_code(self, chain):
+        kernel = _pipeline_kernel(chain)
+        space = space_for_kernel(kernel)
+        csr = build_csr(kernel, space)
+        dense = csr.toarray()
+        pi = stationary_exact(csr)
+        assert np.array_equal(pi, _former_stationary_exact(dense))
+        assert np.array_equal(stationary_exact(dense), pi)
+        report = check_detailed_balance(csr, pi)
+        assert report == _former_check_detailed_balance(dense, pi)
+        assert check_detailed_balance(dense, pi) == report
+        # a perturbed law breaks the balance at many pairs: same worst pair
+        rough = pi * (1.0 + 1e-3 * np.sin(np.arange(len(pi))))
+        assert (check_detailed_balance(csr, rough)
+                == _former_check_detailed_balance(dense, rough))
+
+    def test_congestion_matches_the_former_dense_code(self):
+        prob_set, partition = seeded_kclass(6, 3, seed=[707, 1])
+        space = enumerate_states("permutations", n=6)
+        records = collect_canonical_paths(space, prob_set, partition)
+        nn = build_csr(AdjacentTranspositionChain(prob_set), space)
+        pi = stationary_exact(nn)
+        report = congestion(nn, records, pi, space)
+        assert report == _former_congestion(nn.toarray(), records, pi, space)
+        assert congestion(nn.toarray(), records, pi, space) == report
+
+    def test_congestion_names_the_first_step_off_the_chain(self):
+        prob_set, partition = seeded_kclass(4, 2, seed=[505, 0])
+        space = enumerate_states("permutations", n=4)
+        records = collect_canonical_paths(space, prob_set, partition)
+        dense = build_matrix(AdjacentTranspositionChain(prob_set), space)
+        pi = stationary_exact(dense)
+        steps = [(space.index[a], space.index[b]) for rec in records
+                 for a, b in zip(rec.path.states[:-1], rec.path.states[1:])]
+        # remove a late edge, then an earlier one: the earlier is reported
+        for u, v in (steps[-1], steps[len(steps) // 3]):
+            dense[u, v] = 0.0
+        with pytest.raises(PropertyViolationError) as former:
+            _former_congestion(dense, records, pi, space)
+        with pytest.raises(PropertyViolationError) as new:
+            congestion(sp.csr_matrix(dense), records, pi, space)
+        assert str(new.value) == str(former.value)
+
+    def test_irreducible_on_csr_ignores_stored_zeros(self):
+        block = np.array([[0.5, 0.5], [0.5, 0.5]])
+        assert not is_irreducible(sp.block_diag((block, block), format="csr"))
+        # the same two blocks with stored 0.0 entries 0 -> 2 and 2 -> 0
+        linked = sp.csr_matrix(
+            ([0.5, 0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.5],
+             [0, 1, 2, 0, 1, 0, 2, 3, 2, 3], [0, 3, 5, 8, 10]), shape=(4, 4))
+        assert linked.nnz == 10
+        assert not is_irreducible(linked)
+        assert not is_irreducible(linked.toarray())
+        linked.data[linked.data == 0.0] = 0.25
+        assert is_irreducible(linked)
+
+    @pytest.mark.parametrize("chain", ["mnn", "mk1", "me"])
+    def test_irreducible_matches_the_former_scan(self, chain):
+        kernel = _pipeline_kernel(chain)
+        dense = build_matrix(kernel, space_for_kernel(kernel))
+        cut = dense.copy()
+        cut[:, 0] = 0.0  # nothing enters state 0
+        for matrix in (dense, cut):
+            former = _former_reaches_all(matrix) and _former_reaches_all(matrix.T)
+            assert is_irreducible(sp.csr_matrix(matrix)) == former
+        assert is_irreducible(dense) and not is_irreducible(cut)
+
+    def test_non_reversible_cycle_has_the_former_witness(self):
+        cycle = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        pi = np.full(3, 1 / 3)
+        report = check_detailed_balance(sp.csr_matrix(cycle), pi)
+        assert report == _former_check_detailed_balance(cycle, pi)
+        assert report == analysis.BalanceReport(1 / 3, 0, 1)
+
+    def test_solve_larger_than_memory_is_refused_before_allocating(self, monkeypatch):
+        matrix = build_csr(AdjacentTranspositionChain(uniform_set(6)),
+                           enumerate_states("permutations", n=6))
+        need = 2 * 8 * 720 ** 2
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: need)
+        assert np.allclose(stationary_exact(matrix), 1 / 720)
+
+        def no_solve(*args):
+            raise AssertionError("the system was solved")
+
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        with pytest.raises(BudgetExceededError, match="physical memory"):
+            stationary_exact(matrix)
 
 
 class TestSpectralGap:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from biasedperm import cli
+from biasedperm import analysis, cli
 
 from conftest import EXAMPLE_TREE
 
@@ -74,6 +74,20 @@ class TestValidation:
             "out": str(tmp_path / "out")})
         assert cli.run(cfg, budget=100) == 2
         assert "budget" in capsys.readouterr().err
+
+
+    def test_solve_beyond_physical_memory_exit_2(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # n = 7 needs 2 * 8 * 5040^2 bytes (388 MiB) for the LU
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: 2**28)
+        cfg = write_config(tmp_path, {
+            "model": {"type": "kclass", "n": 7, "boundaries": [3],
+                      "q": {"(1,2)": "0.8"}},
+            "chain": "mnn", "experiment": "stationary",
+            "out": str(tmp_path / "out")})
+        assert cli.run(cfg) == 2
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPropertyViolation:

@@ -45,6 +45,16 @@ class TestWeight:
             assert permcore.log_weight(sigma, ps) == pytest.approx(
                 brute_force_log_weight(sigma, ps), rel=1e-12)
 
+    def test_cached_pairs_give_the_former_sum_bit_for_bit(self):
+        ps, _ = seeded_kclass(6, 3, seed=[808, 1])
+        for sigma in list(permutations(range(1, 7)))[::37]:
+            idx = np.asarray(sigma) - 1
+            sub = ps.p[np.ix_(idx, idx)]
+            former = float(np.log(sub[np.triu_indices(6, k=1)]).sum())
+            assert permcore.log_weight(sigma, ps) == former
+        rows, cols = permcore._upper_pairs(6)
+        assert not rows.flags.writeable and not cols.flags.writeable
+
     def test_uniform_weights_all_equal(self):
         ps = uniform_set(4)
         weights = {permcore.log_weight(s, ps) for s in permutations(range(1, 5))}
