@@ -34,7 +34,8 @@ from scipy.sparse.csgraph import connected_components
 from . import permcore
 from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import all_words, area, bottom_word, top_word
-from .kernels import ChainKernel, GeneralizedExclusionChain, mtk_moves
+from .kernels import (ChainKernel, GeneralizedExclusionChain, _class_moves, _classes,
+                      mtk_moves)
 from .model import ClassPartition, ProbabilitySet, uniform_set, validate_kclass
 
 DEFAULT_BUDGET = 50_000
@@ -709,36 +710,37 @@ def canonical_path(x, y, direction: str, prob_set: ProbabilitySet,
     if len(diff) != 2 or permcore.transpose(x, *diff) != y:
         raise ValidationError(f"{x} -> {y} is not a single transposition")
     i, j = diff
-    moves = [mv for mv in mtk_moves(x, prob_set, partition)
-             if (mv.i, mv.j) == (i, j) and mv.direction == direction]
-    if not moves:
+    classes = _classes(x, partition, False)
+    if not any((mv.i, mv.j) == (i, j) and mv.direction == direction
+               for mv in _class_moves(x, classes, validate_kclass(prob_set, partition))):
         raise ValidationError(
             f"{x} -> {y} is not a direction-{direction} move of the transposition chain"
         )
-    builder = _build_edge_path(x, i, j, direction, partition, prop3_order)
-    if builder.states[-1] != y:
-        raise PropertyViolationError(
-            f"path construction ended at {builder.states[-1]} instead of {y}"
-        )
-    return CanonicalPath(x=x, y=y, direction=direction,
-                         states=tuple(builder.states),
-                         swap_positions=tuple(builder.positions))
+    return _edge_path(x, i, j, direction, classes, prop3_order)
 
 
-def _build_edge_path(x, i, j, direction, partition, prop3_order):
+def _edge_path(x: tuple, i: int, j: int, direction: str, classes: tuple,
+               prop3_order: bool) -> CanonicalPath:
+    """The canonical path of the move swapping positions i < j of x, checked
+    to end at the swapped state."""
     if direction in ("L", "R"):
-        return _lr_path(x, i, j)
-    classes = [partition.class_of(el) for el in x]
-    if not prop3_order:
-        return _n_path(x, i, j, classes)
-    n = len(x)
-    rx = tuple(reversed(x))
-    mirrored = _n_path(rx, n + 1 - j, n + 1 - i, list(reversed(classes)))
-    builder = _PathBuilder(x)
-    builder.states = [tuple(reversed(s)) for s in mirrored.states]
-    builder.positions = [n - p for p in mirrored.positions]
-    builder.cur = list(builder.states[-1])
-    return builder
+        builder = _lr_path(x, i, j)
+        states, positions = builder.states, builder.positions
+    elif not prop3_order:
+        builder = _n_path(x, i, j, classes)
+        states, positions = builder.states, builder.positions
+    else:
+        n = len(x)
+        mirrored = _n_path(x[::-1], n + 1 - j, n + 1 - i, classes[::-1])
+        states = [s[::-1] for s in mirrored.states]
+        positions = [n - p for p in mirrored.positions]
+    y = permcore.transpose(x, i, j)
+    if states[-1] != y:
+        raise PropertyViolationError(
+            f"path construction ended at {states[-1]} instead of {y}"
+        )
+    return CanonicalPath(x=x, y=y, direction=direction, states=tuple(states),
+                         swap_positions=tuple(positions))
 
 
 def collect_canonical_paths(space: StateSpace, prob_set: ProbabilitySet,
@@ -747,21 +749,14 @@ def collect_canonical_paths(space: StateSpace, prob_set: ProbabilitySet,
     """Canonical paths for every transposition-chain edge over a space."""
     if space.kind != "permutations":
         raise ValidationError("canonical paths are defined over permutation spaces")
-    n = partition.n
-    base = 1.0 / (3 * n)
+    table = validate_kclass(prob_set, partition)
+    base = 1.0 / (3 * partition.n)
     records = []
     for xi, x in enumerate(space.states):
-        for mv in mtk_moves(x, prob_set, partition):
-            y = permcore.transpose(x, mv.i, mv.j)
-            builder = _build_edge_path(x, mv.i, mv.j, mv.direction, partition, prop3_order)
-            if builder.states[-1] != y:
-                raise PropertyViolationError(
-                    f"path construction ended at {builder.states[-1]} instead of {y}"
-                )
-            path = CanonicalPath(x=x, y=y, direction=mv.direction,
-                                 states=tuple(builder.states),
-                                 swap_positions=tuple(builder.positions))
-            records.append(PathRecord(x_index=xi, y_index=space.index[y],
+        classes = _classes(x, partition, False)
+        for mv in _class_moves(x, classes, table):
+            path = _edge_path(x, mv.i, mv.j, mv.direction, classes, prop3_order)
+            records.append(PathRecord(x_index=xi, y_index=space.index[path.y],
                                       prob=base * mv.acceptance, path=path))
     return records
 

@@ -108,15 +108,19 @@ class _Run:
                 if key not in self.cfg:
                     raise ValidationError(f"chain \"me\" needs \"{key}\"")
             bias = kernels.make_bias(self.cfg["bias"])
-            kernel = kernels.make_kernel("me", bias=bias, n1=int(self.cfg["n1"]),
-                                         n0=int(self.cfg["n0"]))
-            return kernel, None, None
+            return kernels.make_kernel("me", bias=bias, n1=int(self.cfg["n1"]),
+                                       n0=int(self.cfg["n0"]))
         if "model" not in self.cfg:
             raise ValidationError(f"chain {chain!r} needs a \"model\" section")
         prob_set, partition, tree = model.model_from_config(self.cfg["model"])
-        kernel = kernels.make_kernel(chain, prob_set=prob_set, partition=partition,
-                                     tree=tree)
-        return kernel, prob_set, partition
+        return kernels.make_kernel(chain, prob_set=prob_set, partition=partition,
+                                   tree=tree)
+
+    def solve(self, kernel):
+        """The exact pipeline: (space within the budget, CSR matrix, exact pi)."""
+        space = analysis.space_for_kernel(kernel, budget=self.budget)
+        matrix = analysis.build_csr(kernel, space)
+        return space, matrix, analysis.stationary_exact(matrix)
 
 
 def load_config(path) -> dict:
@@ -145,14 +149,12 @@ def load_config(path) -> dict:
 
 
 def _exp_stationary(run: _Run):
-    kernel, prob_set, partition = run.build_chain()
-    space = analysis.space_for_kernel(kernel, budget=run.budget)
-    if space.kind == "binary":
+    kernel = run.build_chain()
+    if kernel.space_kind == "binary":
         raise ValidationError("no closed-form stationary weights for the exclusion chain")
-    matrix = analysis.build_csr(kernel, space)
-    exact = analysis.stationary_exact(matrix)
+    space, _, exact = run.solve(kernel)
     formula = analysis.stationary_formula(space, kernel.prob_set,
-                                          getattr(kernel, "partition", partition))
+                                          getattr(kernel, "partition", None))
     diff = float(np.abs(exact - formula).max())
     run.detail_header = ["state", "pi_exact", "pi_formula"]
     for idx, state in enumerate(space.states):
@@ -166,10 +168,7 @@ def _exp_stationary(run: _Run):
 
 
 def _exp_balance(run: _Run):
-    kernel, _, _ = run.build_chain()
-    space = analysis.space_for_kernel(kernel, budget=run.budget)
-    matrix = analysis.build_csr(kernel, space)
-    pi = analysis.stationary_exact(matrix)
+    space, matrix, pi = run.solve(run.build_chain())
     report = analysis.check_detailed_balance(matrix, pi)
     run.detail_header = ["max_violation", "state_x", "state_y"]
     run.detail.append([_fmt(report.max_violation),
@@ -185,10 +184,7 @@ def _exp_balance(run: _Run):
 
 
 def _exp_gap(run: _Run):
-    kernel, _, _ = run.build_chain()
-    space = analysis.space_for_kernel(kernel, budget=run.budget)
-    matrix = analysis.build_csr(kernel, space)
-    pi = analysis.stationary_exact(matrix)
+    space, matrix, pi = run.solve(run.build_chain())
     gap = analysis.spectral_gap(matrix, pi)
     run.detail_header = ["states", "gap", "relaxation_time"]
     run.detail.append([str(len(space)), _fmt(gap), _fmt(1.0 / gap)])
@@ -198,13 +194,11 @@ def _exp_gap(run: _Run):
 
 
 def _exp_tv(run: _Run):
-    kernel, _, _ = run.build_chain()
+    kernel = run.build_chain()
     tmax = int(run.cfg.get("tmax", 0))
     if tmax < 1:
         raise ValidationError("tv needs a positive integer \"tmax\"")
-    space = analysis.space_for_kernel(kernel, budget=run.budget)
-    matrix = analysis.build_csr(kernel, space)
-    pi = analysis.stationary_exact(matrix)
+    space, matrix, pi = run.solve(kernel)
     # the scan gets a dense matrix: perfbench's tracer counts the scanned
     # operator with np.count_nonzero, which refuses sparse input
     curve = analysis.tv_curve(matrix.toarray(), pi, tmax)
@@ -217,12 +211,10 @@ def _exp_tv(run: _Run):
 
 
 def _exp_mix(run: _Run):
-    kernel, _, _ = run.build_chain()
+    kernel = run.build_chain()
     eps = _parse_epsilon(run.cfg)
     tmax = run.cfg.get("tmax")
-    space = analysis.space_for_kernel(kernel, budget=run.budget)
-    matrix = analysis.build_csr(kernel, space)
-    pi = analysis.stationary_exact(matrix)
+    space, matrix, pi = run.solve(kernel)
     # dense for the scan, as in _exp_tv
     tau = analysis.mixing_time_exact(matrix.toarray(), pi, eps,
                                      int(tmax) if tmax is not None else None)
@@ -237,7 +229,7 @@ def _exp_decompose(run: _Run):
     chain = run.cfg.get("chain", "mk1")
     if chain not in ("mk1", "mpp"):
         raise ValidationError("decompose works on the word chains mk1 or mpp")
-    kernel, _, _ = run.build_chain(chain)
+    kernel = run.build_chain(chain)
     fix = run.cfg.get("fix_classes", [1])
     if not isinstance(fix, list) or not fix:
         raise ValidationError("fix_classes must be a nonempty list of class labels")
@@ -264,17 +256,17 @@ def _exp_decompose(run: _Run):
         run.violation = f"decomposition inequality violated, slack {report.slack}"
 
 
-def _paths_setup(run: _Run):
-    kernel, prob_set, partition = run.build_chain()
+def _mtk_kernel(run: _Run):
+    kernel = run.build_chain()
     if run.cfg.get("chain") != "mtk":
         raise ValidationError("paths and congestion experiments use chain \"mtk\"")
-    space = analysis.space_for_kernel(kernel, budget=run.budget)
-    records = analysis.collect_canonical_paths(space, kernel.prob_set, kernel.partition)
-    return kernel, space, records
+    return kernel
 
 
 def _exp_paths(run: _Run):
-    kernel, space, records = _paths_setup(run)
+    kernel = _mtk_kernel(run)
+    space = analysis.space_for_kernel(kernel, budget=run.budget)
+    records = analysis.collect_canonical_paths(space, kernel.prob_set, kernel.partition)
     logw = np.array([permcore.log_weight(s, kernel.prob_set) for s in space.states])
     stats = {}
     floor_margin = np.inf
@@ -305,10 +297,10 @@ def _exp_paths(run: _Run):
 
 
 def _exp_congestion(run: _Run):
-    kernel, space, records = _paths_setup(run)
-    nn_matrix = analysis.build_csr(
-        kernels.AdjacentTranspositionChain(kernel.prob_set), space)
-    pi = analysis.stationary_exact(nn_matrix)
+    kernel = _mtk_kernel(run)
+    # the nearest-neighbour chain runs over the same permutations as mtk
+    space, nn_matrix, pi = run.solve(kernels.AdjacentTranspositionChain(kernel.prob_set))
+    records = analysis.collect_canonical_paths(space, kernel.prob_set, kernel.partition)
     report = analysis.congestion(nn_matrix, records, pi, space)
     n = len(space.states[0])
     p = kernel.prob_set.p
@@ -399,10 +391,7 @@ def _exp_scaling(run: _Run):
     partial_error = None
     for size in sorted(sizes):
         try:
-            kernel = family(size)
-            space = analysis.space_for_kernel(kernel, budget=run.budget)
-            matrix = analysis.build_csr(kernel, space)
-            pi = analysis.stationary_exact(matrix)
+            _, matrix, pi = run.solve(family(size))
             if metric == "relaxation":
                 value = 1.0 / analysis.spectral_gap(matrix, pi)
                 run.results.append(_result_row("scaling", n=size,
@@ -529,21 +518,6 @@ def run(config_path, out_dir=None, seed=None, budget=None, quiet=False) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return run_config(cfg, out_dir=out_dir, seed=seed, budget=budget, quiet=quiet)
-
-
-def sweep(config_path, sizes=None, out_dir=None, seed=None, budget=None,
-          quiet=False) -> int:
-    """Run the scaling experiment, optionally overriding the size list."""
-    try:
-        cfg = load_config(config_path)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if sizes is not None:
-        cfg = dict(cfg, sizes=list(sizes))
-    if cfg.get("experiment") != "scaling":
-        cfg = dict(cfg, experiment="scaling")
     return run_config(cfg, out_dir=out_dir, seed=seed, budget=budget, quiet=quiet)
 
 

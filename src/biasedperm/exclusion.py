@@ -12,7 +12,6 @@ symmetric under relabeling, so h and w are always recorded as given.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -241,16 +240,3 @@ def _one_hit(bias, n1: int, n0: int, seed: int) -> int:
                 if current == target:
                     return steps
 
-
-def write_hitting_csv(path, summary: HittingSummary):
-    """Trial rows plus one summary row (mean, max, area, normalized ratio)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_type", "trial", "steps", "mean", "max", "area", "ratio"])
-        for idx, steps in enumerate(summary.trials):
-            writer.writerow(["trial", idx, steps, "", "", "", ""])
-        writer.writerow([
-            "summary", "", "",
-            f"{summary.mean:.17g}", summary.max, summary.area,
-            f"{summary.normalized_mean:.17g}",
-        ])

@@ -5,6 +5,15 @@ probability, with the self-loop entry included so each row sums to exactly
 one.  Enumeration is the primitive; sampling (:func:`sample_step`) is
 derived from it, which keeps row-stochasticity directly testable.
 
+The nearest-neighbour chains share one adjacent-swap rule
+(:func:`_swap_row`): a position 1 <= i < n is chosen uniformly and, if the
+items at i and i+1 differ, they are exchanged with a pair probability.
+M_nn reads it from the pairwise matrix, M_pp from the class-pair table and
+M_e from the bias callback.  The class chains (M_tk, M_k1, M_pp) resolve
+their class-pair table once, when the kernel is built; each row reads the
+classes by position from the state itself (words) or through the
+partition (permutations), as the kernel's ``space_kind`` says.
+
 Holding conventions follow the chain definitions exactly; no extra 1/2
 laziness is added anywhere.  Acceptance probabilities above one are an
 error, never clamped: clamping would silently change the stationary
@@ -20,68 +29,36 @@ from bisect import bisect_right
 from decimal import Decimal
 from pathlib import Path
 
-import numpy as np
-
 from .errors import PropertyViolationError, ValidationError
-from .model import ClassPartition, ProbabilitySet, validate_kclass
+from .model import ClassPartition, ProbabilitySet, _parse_pair_key, validate_kclass
 from .treerep import LeagueTree
 
 
 # ---------------------------------------------------------------------------
-# shared move mechanics for the transposition chains
+# shared move mechanics
 
 
 def _is_permutation(state, n: int) -> bool:
-    return sorted(state) == list(range(1, n + 1))
+    return len(state) == n and set(state) == set(range(1, n + 1))
 
 
-class _ClassView:
-    """Uniform access to classes and pair probabilities.
+def _classes(state: tuple, partition: ClassPartition, on_words: bool) -> tuple:
+    """Class label at each position of a state.
 
-    Permutation states carry elements whose class comes from the partition
-    and whose pair probabilities come from the full matrix; word states
-    carry class labels directly and use the class-pair table.
+    A word over 1..k carries its labels; the elements of a permutation are
+    mapped through the partition.
     """
-
-    def __init__(self, state, prob_set: ProbabilitySet, partition: ClassPartition):
-        self.state = tuple(state)
-        n = partition.n
-        if len(self.state) != n:
-            raise ValidationError(f"state length {len(self.state)} != n={n}")
-        if _is_permutation(self.state, n):
-            self.classes = tuple(partition.class_of(x) for x in self.state)
-            self._p = prob_set.p
-            self._offset = 1  # matrix is 0-based, elements are 1-based
-        else:
-            counts = [0] * partition.k
-            for label in self.state:
-                if not 1 <= label <= partition.k:
-                    raise ValidationError(
-                        f"state {self.state} is neither a permutation of 1..{n} "
-                        f"nor a word over 1..{partition.k}"
-                    )
-                counts[label - 1] += 1
-            if tuple(counts) != partition.sizes:
-                raise ValidationError(
-                    f"word {self.state} has label counts {tuple(counts)}, "
-                    f"partition expects {partition.sizes}"
-                )
-            self.classes = self.state
-            self._p = validate_kclass(prob_set, partition)  # already 1-based
-            self._offset = 0
-
-    def prob(self, pos_a: int, pos_b: int) -> float:
-        """p for the ordered pair of the items at 1-based positions a, b."""
-        return float(self._p[self.state[pos_a - 1] - self._offset,
-                             self.state[pos_b - 1] - self._offset])
-
-    def ratio(self, pos_a: int, pos_b: int) -> float:
-        return self.prob(pos_a, pos_b) / self.prob(pos_b, pos_a)
-
-    def swapped(self, i: int, j: int) -> tuple:
-        out = list(self.state)
-        out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
-        return tuple(out)
+    if on_words:
+        counts = tuple(state.count(c) for c in range(1, partition.k + 1))
+        if len(state) != partition.n or counts != partition.sizes:
+            raise ValidationError(
+                f"{state} is not a word over 1..{partition.k} with label counts "
+                f"{partition.sizes}"
+            )
+        return state
+    if not _is_permutation(state, partition.n):
+        raise ValidationError(f"{state} is not a permutation of 1..{partition.n}")
+    return tuple(partition.class_of(x) for x in state)
 
 
 def _finish_row(state, targets: dict) -> dict:
@@ -95,27 +72,35 @@ def _finish_row(state, targets: dict) -> dict:
     return row
 
 
+def _swap_row(state: tuple, swap_prob) -> dict:
+    """The adjacent-swap rule.
+
+    A position 1 <= i < n is chosen uniformly; if the items at i and i+1
+    differ they are exchanged with probability ``swap_prob(i)``.
+    """
+    n = len(state)
+    targets: dict = {}
+    if n < 2:
+        return _finish_row(state, targets)
+    base = 1.0 / (n - 1)
+    for i in range(1, n):
+        if state[i - 1] == state[i]:
+            continue
+        out = list(state)
+        out[i - 1], out[i] = out[i], out[i - 1]
+        targets[tuple(out)] = base * swap_prob(i)
+    return _finish_row(state, targets)
+
+
 def transitions_mnn(sigma, prob_set: ProbabilitySet) -> dict:
     """Adjacent-transposition chain.
 
-    A position 1 < i <= n is chosen uniformly; the elements at i-1 and i
-    are exchanged with the probability of placing the element at i ahead
-    of the element at i-1.
+    A position 1 <= i < n is chosen uniformly; the elements at i and i+1
+    are exchanged with the probability of placing the element at i+1
+    ahead of the element at i.
     """
     sigma = tuple(sigma)
-    n = len(sigma)
-    targets: dict = {}
-    if n == 1:
-        return _finish_row(sigma, targets)
-    base = 1.0 / (n - 1)
-    for i in range(2, n + 1):
-        p_swap = prob_set.prob(sigma[i - 1], sigma[i - 2])
-        out = list(sigma)
-        out[i - 2], out[i - 1] = out[i - 1], out[i - 2]
-        tgt = tuple(out)
-        if tgt != sigma:
-            targets[tgt] = targets.get(tgt, 0.0) + base * p_swap
-    return _finish_row(sigma, targets)
+    return _swap_row(sigma, lambda i: prob_set.prob(sigma[i], sigma[i - 1]))
 
 
 class MtkMove:
@@ -143,12 +128,30 @@ def mtk_moves(state, prob_set: ProbabilitySet, partition: ClassPartition,
       N: the nearest left position in the same class; the swap always
          fires.
 
-    Acceptance above 1 means the probabilities are outside the weakly
-    monotone regime this chain requires; it is reported, never clamped.
+    The state may be a permutation or a class-label word.  Acceptance
+    above 1 means the probabilities are outside the weakly monotone regime
+    this chain requires; it is reported, never clamped.
     """
-    view = _ClassView(state, prob_set, partition)
-    classes = view.classes
+    state = tuple(state)
+    classes = _classes(state, partition, not _is_permutation(state, partition.n))
+    return _class_moves(state, classes, validate_kclass(prob_set, partition),
+                        directions)
+
+
+def _class_moves(state: tuple, classes: tuple, table,
+                 directions=("L", "R", "N")) -> list[MtkMove]:
+    """:func:`mtk_moves` over resolved classes and class-pair table.
+
+    ``table[a, b]`` is the probability of ordering a class-a item ahead of
+    a class-b item (:func:`biasedperm.model.validate_kclass`); ``state``
+    only names the state in the error message.
+    """
     n = len(classes)
+
+    def ratio(a: int, b: int) -> float:
+        ca, cb = classes[a - 1], classes[b - 1]
+        return float(table[ca, cb]) / float(table[cb, ca])
+
     moves: list[MtkMove] = []
     for i in range(1, n + 1):
         ci = classes[i - 1]
@@ -162,13 +165,13 @@ def mtk_moves(state, prob_set: ProbabilitySet, partition: ClassPartition,
             for j in range(i + 1, n + 1):
                 if classes[j - 1] >= ci:
                     if classes[j - 1] > ci:
-                        acc = view.ratio(j, i)
+                        acc = ratio(j, i)
                         for m in range(i + 1, j):
-                            acc *= view.ratio(j, m) * view.ratio(m, i)
+                            acc *= ratio(j, m) * ratio(m, i)
                         if acc > 1.0:
                             raise PropertyViolationError(
                                 f"acceptance probability {acc} > 1 for the right move "
-                                f"({i}, {j}) from {view.state}; the probability set is "
+                                f"({i}, {j}) from {state}; the probability set is "
                                 "outside the weakly monotone regime this chain requires"
                             )
                         moves.append(MtkMove(i, j, "R", acc))
@@ -181,6 +184,21 @@ def mtk_moves(state, prob_set: ProbabilitySet, partition: ClassPartition,
     return moves
 
 
+def _move_row(state: tuple, moves) -> dict:
+    """Row of a class-transposition chain: mass 1/(3n) per move, times its
+    acceptance; same-class exchanges on words fold into the self-loop."""
+    base = 1.0 / (3 * len(state))
+    targets: dict = {}
+    for mv in moves:
+        out = list(state)
+        out[mv.i - 1], out[mv.j - 1] = out[mv.j - 1], out[mv.i - 1]
+        tgt = tuple(out)
+        if tgt == state:
+            continue
+        targets[tgt] = targets.get(tgt, 0.0) + base * mv.acceptance
+    return _finish_row(state, targets)
+
+
 def transitions_mtk(state, prob_set: ProbabilitySet, partition: ClassPartition) -> dict:
     """Class-transposition chain: position and direction L/R/N uniform.
 
@@ -188,7 +206,8 @@ def transitions_mtk(state, prob_set: ProbabilitySet, partition: ClassPartition) 
     the self-loop.  Accepts permutations or class-label words (same-class
     exchanges on words fold into the self-loop).
     """
-    return _transitions_from_moves(state, prob_set, partition, ("L", "R", "N"))
+    state = tuple(state)
+    return _move_row(state, mtk_moves(state, prob_set, partition))
 
 
 def transitions_mk1(state, prob_set: ProbabilitySet, partition: ClassPartition) -> dict:
@@ -197,21 +216,8 @@ def transitions_mk1(state, prob_set: ProbabilitySet, partition: ClassPartition) 
     The 1/(3n) per-move mass (not 1/(2n)) matches its role as the
     cross-class part of the full transposition chain.
     """
-    return _transitions_from_moves(state, prob_set, partition, ("L", "R"))
-
-
-def _transitions_from_moves(state, prob_set, partition, directions) -> dict:
     state = tuple(state)
-    n = len(state)
-    base = 1.0 / (3 * n)
-    targets: dict = {}
-    view = _ClassView(state, prob_set, partition)
-    for mv in mtk_moves(state, prob_set, partition, directions):
-        tgt = view.swapped(mv.i, mv.j)
-        if tgt == state:
-            continue
-        targets[tgt] = targets.get(tgt, 0.0) + base * mv.acceptance
-    return _finish_row(state, targets)
+    return _move_row(state, mtk_moves(state, prob_set, partition, ("L", "R")))
 
 
 def transitions_mi(sigma, prob_set: ProbabilitySet, partition: ClassPartition,
@@ -248,31 +254,13 @@ def transitions_mpp(word, prob_set: ProbabilitySet, partition: ClassPartition) -
     Identical to the nearest-neighbor rule with same-label exchanges
     rejected (they would not change the word anyway).
     """
-    word = tuple(word)
-    n = len(word)
     table = validate_kclass(prob_set, partition)
-    counts = [0] * partition.k
-    for label in word:
-        if not 1 <= label <= partition.k:
-            raise ValidationError(f"label {label} outside 1..{partition.k}")
-        counts[label - 1] += 1
-    if tuple(counts) != partition.sizes:
-        raise ValidationError(
-            f"word {word} has label counts {tuple(counts)}, partition expects {partition.sizes}"
-        )
-    targets: dict = {}
-    if n == 1:
-        return _finish_row(word, targets)
-    base = 1.0 / (n - 1)
-    for i in range(2, n + 1):
-        left, right = word[i - 2], word[i - 1]
-        if left == right:
-            continue
-        p_swap = float(table[right, left])
-        out = list(word)
-        out[i - 2], out[i - 1] = out[i - 1], out[i - 2]
-        targets[tuple(out)] = targets.get(tuple(out), 0.0) + base * p_swap
-    return _finish_row(word, targets)
+    return _mpp_row(_classes(tuple(word), partition, True), table)
+
+
+def _mpp_row(word: tuple, table) -> dict:
+    """The row of ``transitions_mpp`` for a checked word and its class table."""
+    return _swap_row(word, lambda i: float(table[word[i], word[i - 1]]))
 
 
 def transitions_mtree(sigma, tree: LeagueTree,
@@ -330,24 +318,17 @@ def transitions_me(word, bias) -> dict:
 
 def _me_row(word: tuple, bias) -> dict:
     """The row of ``transitions_me`` for a word already known to be binary."""
-    n = len(word)
-    targets: dict = {}
-    if n < 2:
-        return _finish_row(word, targets)
-    base = 1.0 / (n - 1)
-    for i in range(1, n):
-        if word[i - 1] == word[i]:
-            continue
+
+    def swap_prob(i: int) -> float:
         p = float(bias(word, i))
         if not 0.0 < p < 1.0:
             raise ValidationError(
                 f"bias callback returned {p} at position {i} of {word}; "
                 "swap probabilities must lie strictly in (0, 1)"
             )
-        out = list(word)
-        out[i - 1], out[i] = out[i], out[i - 1]
-        targets[tuple(out)] = targets.get(tuple(out), 0.0) + base * p
-    return _finish_row(word, targets)
+        return p
+
+    return _swap_row(word, swap_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +381,7 @@ def square_table_bias(table: dict):
         raise ValidationError(f"bad square-bias table: {exc}") from exc
     lam: dict[tuple[int, int], float] = {}
     for key, val in raw.items():
-        x, y = _parse_square_key(key)
+        x, y = _parse_pair_key(key)
         v = float(Decimal(val)) if isinstance(val, str) else float(val)
         if v <= 0:
             raise ValidationError(f"square ({x},{y}) bias {v} must be positive")
@@ -420,17 +401,6 @@ def square_table_bias(table: dict):
     bias.square_biases = dict(lam)
     bias.spec = "square-dependent"
     return bias
-
-
-def _parse_square_key(key: str) -> tuple[int, int]:
-    body = key.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    try:
-        x, y = (int(s) for s in body.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad square key {key!r}, expected \"(x,y)\"") from exc
-    return x, y
 
 
 def word_hash_bias(word, i):
@@ -515,10 +485,12 @@ class ClassTranspositionChain(ChainKernel):
     def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
         self.prob_set = prob_set
         self.partition = partition
-        validate_kclass(prob_set, partition)
+        self.table = validate_kclass(prob_set, partition)
 
     def transitions(self, state):
-        return transitions_mtk(state, self.prob_set, self.partition)
+        state = tuple(state)
+        classes = _classes(state, self.partition, self.space_kind == "words")
+        return _move_row(state, _class_moves(state, classes, self.table))
 
 
 class SameClassChain(ChainKernel):
@@ -542,10 +514,12 @@ class CrossClassChain(ChainKernel):
         self.prob_set = prob_set
         self.partition = partition
         self.space_kind = "words" if on_words else "permutations"
-        validate_kclass(prob_set, partition)
+        self.table = validate_kclass(prob_set, partition)
 
     def transitions(self, state):
-        return transitions_mk1(state, self.prob_set, self.partition)
+        state = tuple(state)
+        classes = _classes(state, self.partition, self.space_kind == "words")
+        return _move_row(state, _class_moves(state, classes, self.table, ("L", "R")))
 
 
 class ParticleProcessChain(ChainKernel):
@@ -555,9 +529,10 @@ class ParticleProcessChain(ChainKernel):
     def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
         self.prob_set = prob_set
         self.partition = partition
+        self.table = validate_kclass(prob_set, partition)
 
     def transitions(self, state):
-        return transitions_mpp(state, self.prob_set, self.partition)
+        return _mpp_row(_classes(tuple(state), self.partition, True), self.table)
 
 
 class TreeSwapChain(ChainKernel):

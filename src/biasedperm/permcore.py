@@ -79,17 +79,6 @@ def project(sigma, partition: ClassPartition) -> tuple:
     return tuple(partition.class_of(x) for x in sigma)
 
 
-def word_multiplicities(word, k: int | None = None) -> tuple[int, ...]:
-    if k is None:
-        k = max(word)
-    counts = [0] * k
-    for label in word:
-        if not 1 <= label <= k:
-            raise ValidationError(f"label {label} outside 1..{k}")
-        counts[label - 1] += 1
-    return tuple(counts)
-
-
 def word_log_weight(word, class_table: np.ndarray) -> float:
     """Log weight of a class-label word under a class-pair probability table.
 

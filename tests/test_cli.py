@@ -208,13 +208,6 @@ class TestScaling:
         rows = read_csv(out / "results.csv")
         assert len(rows) == 3  # header + n=3, n=4; n=6 exceeded the budget
 
-    def test_sweep_helper_overrides_sizes(self, tmp_path):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path, {
-            "experiment": "scaling", "chain": "mnn", "family": "uniform",
-            "metric": "relaxation", "sizes": [3], "out": str(out)})
-        assert cli.sweep(cfg, sizes=[3, 4, 5]) == 0
-
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):

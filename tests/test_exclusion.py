@@ -6,7 +6,6 @@ import pytest
 
 from biasedperm.errors import BudgetExceededError, ValidationError
 from biasedperm.kernels import constant_bias, square_table_bias, transitions_me, word_hash_bias
-from biasedperm import exclusion
 from biasedperm.exclusion import (
     StaircaseWalk,
     all_words,
@@ -137,12 +136,3 @@ class TestHitting:
     def test_generic_callback_path(self):
         summary = hitting_time_to_top(word_hash_bias, 2, 2, trials=3, seed=7)
         assert all(t > 0 for t in summary.trials)
-
-    def test_csv_output(self, tmp_path):
-        summary = hitting_time_to_top(constant_bias(0.75), 2, 2, trials=3, seed=1)
-        path = tmp_path / "hit.csv"
-        exclusion.write_hitting_csv(path, summary)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("row_type,trial,steps")
-        assert len(lines) == 5  # header + 3 trials + summary
-        assert lines[-1].startswith("summary")

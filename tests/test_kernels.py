@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from biasedperm.analysis import enumerate_states
 from biasedperm.errors import PropertyViolationError, ValidationError
 from biasedperm.model import (
     ClassPartition,
@@ -12,6 +13,7 @@ from biasedperm.model import (
     check_weak_monotonicity,
     constant_bias_set,
     uniform_set,
+    validate_kclass,
 )
 from biasedperm import permcore, treerep
 from biasedperm.kernels import (
@@ -428,3 +430,227 @@ class TestRegistry:
         assert make_bias("word-hash") is word_hash_bias
         with pytest.raises(ValidationError):
             make_bias("nope")
+
+
+# -- the former row builders, kept as references ----------------------------
+# Three copies of the adjacent-swap loop and a class view that guessed, per
+# state, whether it was a permutation or a word.  The kernels must give the
+# same rows: the same values in the same order.
+
+
+def _ref_finish_row(state, targets):
+    total = math.fsum(targets.values())
+    if total > 1.0 + 1e-12:
+        raise PropertyViolationError(f"transition masses from {state} sum to {total} > 1")
+    row = dict(targets)
+    row[state] = max(0.0, 1.0 - total)
+    return row
+
+
+def _ref_mnn(sigma, prob_set):
+    sigma = tuple(sigma)
+    n = len(sigma)
+    targets = {}
+    if n == 1:
+        return _ref_finish_row(sigma, targets)
+    base = 1.0 / (n - 1)
+    for i in range(2, n + 1):
+        p_swap = prob_set.prob(sigma[i - 1], sigma[i - 2])
+        out = list(sigma)
+        out[i - 2], out[i - 1] = out[i - 1], out[i - 2]
+        tgt = tuple(out)
+        if tgt != sigma:
+            targets[tgt] = targets.get(tgt, 0.0) + base * p_swap
+    return _ref_finish_row(sigma, targets)
+
+
+def _ref_mpp(word, prob_set, partition):
+    word = tuple(word)
+    n = len(word)
+    table = validate_kclass(prob_set, partition)
+    counts = [0] * partition.k
+    for label in word:
+        if not 1 <= label <= partition.k:
+            raise ValidationError(f"label {label} outside 1..{partition.k}")
+        counts[label - 1] += 1
+    if tuple(counts) != partition.sizes:
+        raise ValidationError("word has the wrong label counts")
+    targets = {}
+    if n == 1:
+        return _ref_finish_row(word, targets)
+    base = 1.0 / (n - 1)
+    for i in range(2, n + 1):
+        left, right = word[i - 2], word[i - 1]
+        if left == right:
+            continue
+        p_swap = float(table[right, left])
+        out = list(word)
+        out[i - 2], out[i - 1] = out[i - 1], out[i - 2]
+        targets[tuple(out)] = targets.get(tuple(out), 0.0) + base * p_swap
+    return _ref_finish_row(word, targets)
+
+
+def _ref_me_row(word, bias):
+    n = len(word)
+    targets = {}
+    if n < 2:
+        return _ref_finish_row(word, targets)
+    base = 1.0 / (n - 1)
+    for i in range(1, n):
+        if word[i - 1] == word[i]:
+            continue
+        p = float(bias(word, i))
+        if not 0.0 < p < 1.0:
+            raise ValidationError(f"bias callback returned {p}")
+        out = list(word)
+        out[i - 1], out[i] = out[i], out[i - 1]
+        targets[tuple(out)] = targets.get(tuple(out), 0.0) + base * p
+    return _ref_finish_row(word, targets)
+
+
+class _RefClassView:
+    def __init__(self, state, prob_set, partition):
+        self.state = tuple(state)
+        n = partition.n
+        if len(self.state) != n:
+            raise ValidationError(f"state length {len(self.state)} != n={n}")
+        if sorted(self.state) == list(range(1, n + 1)):
+            self.classes = tuple(partition.class_of(x) for x in self.state)
+            self._p = prob_set.p
+            self._offset = 1
+        else:
+            counts = [0] * partition.k
+            for label in self.state:
+                if not 1 <= label <= partition.k:
+                    raise ValidationError("neither a permutation nor a word")
+                counts[label - 1] += 1
+            if tuple(counts) != partition.sizes:
+                raise ValidationError("word has the wrong label counts")
+            self.classes = self.state
+            self._p = validate_kclass(prob_set, partition)
+            self._offset = 0
+
+    def prob(self, pos_a, pos_b):
+        return float(self._p[self.state[pos_a - 1] - self._offset,
+                             self.state[pos_b - 1] - self._offset])
+
+    def ratio(self, pos_a, pos_b):
+        return self.prob(pos_a, pos_b) / self.prob(pos_b, pos_a)
+
+    def swapped(self, i, j):
+        out = list(self.state)
+        out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
+        return tuple(out)
+
+
+def _ref_mtk_moves(state, prob_set, partition, directions=("L", "R", "N")):
+    view = _RefClassView(state, prob_set, partition)
+    classes = view.classes
+    n = len(classes)
+    moves = []
+    for i in range(1, n + 1):
+        ci = classes[i - 1]
+        if "L" in directions:
+            for j in range(i - 1, 0, -1):
+                if classes[j - 1] >= ci:
+                    if classes[j - 1] > ci:
+                        moves.append((j, i, "L", 1.0))
+                    break
+        if "R" in directions:
+            for j in range(i + 1, n + 1):
+                if classes[j - 1] >= ci:
+                    if classes[j - 1] > ci:
+                        acc = view.ratio(j, i)
+                        for m in range(i + 1, j):
+                            acc *= view.ratio(j, m) * view.ratio(m, i)
+                        if acc > 1.0:
+                            raise PropertyViolationError("acceptance above 1")
+                        moves.append((i, j, "R", acc))
+                    break
+        if "N" in directions:
+            for j in range(i - 1, 0, -1):
+                if classes[j - 1] == ci:
+                    moves.append((j, i, "N", 1.0))
+                    break
+    return moves
+
+
+def _ref_transitions_from_moves(state, prob_set, partition, directions):
+    state = tuple(state)
+    base = 1.0 / (3 * len(state))
+    targets = {}
+    view = _RefClassView(state, prob_set, partition)
+    for i, j, _, acceptance in _ref_mtk_moves(state, prob_set, partition, directions):
+        tgt = view.swapped(i, j)
+        if tgt == state:
+            continue
+        targets[tgt] = targets.get(tgt, 0.0) + base * acceptance
+    return _ref_finish_row(state, targets)
+
+
+def _words_222_model(seed):
+    rng = np.random.default_rng(seed)
+    part = ClassPartition.from_sizes((2, 2, 2))
+    q12, q13 = np.sort(rng.uniform(0.55, 0.95, size=2))
+    q = {(1, 2): float(q12), (1, 3): float(q13),
+         (2, 3): float(rng.uniform(0.55, 0.95))}
+    ps = build_kclass(KClassParams(part, q))
+    assert check_weak_monotonicity(ps).weakly_monotone
+    return ps, part
+
+
+class TestReferenceRows:
+    """Every row equals the former builders' row, values and order."""
+
+    @staticmethod
+    def assert_rows_equal(kernel, public, reference, states):
+        for state in states:
+            expected = list(reference(state).items())
+            assert list(kernel.transitions(state).items()) == expected
+            assert list(public(state).items()) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mnn_and_mtk_on_permutations(self, seed):
+        ps, part = seeded_kclass(6, 3, seed=[606, seed])
+        perms = enumerate_states("permutations", n=6).states
+        self.assert_rows_equal(AdjacentTranspositionChain(ps),
+                               lambda s: transitions_mnn(s, ps),
+                               lambda s: _ref_mnn(s, ps), perms)
+        self.assert_rows_equal(
+            ClassTranspositionChain(ps, part),
+            lambda s: transitions_mtk(s, ps, part),
+            lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R", "N")), perms)
+        self.assert_rows_equal(
+            CrossClassChain(ps, part, on_words=False),
+            lambda s: transitions_mk1(s, ps, part),
+            lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R")), perms)
+        for sigma in perms:
+            for directions in (("L", "R", "N"), ("L", "R")):
+                moves = [(mv.i, mv.j, mv.direction, mv.acceptance)
+                         for mv in mtk_moves(sigma, ps, part, directions)]
+                assert moves == _ref_mtk_moves(sigma, ps, part, directions)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mk1_and_mpp_on_words(self, seed):
+        ps, part = _words_222_model([707, seed])
+        words = enumerate_states("words", multiplicities=(2, 2, 2)).states
+        self.assert_rows_equal(
+            CrossClassChain(ps, part),
+            lambda s: transitions_mk1(s, ps, part),
+            lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R")), words)
+        self.assert_rows_equal(
+            ParticleProcessChain(ps, part),
+            lambda s: transitions_mpp(s, ps, part),
+            lambda s: _ref_mpp(s, ps, part), words)
+        for word in words:
+            moves = [(mv.i, mv.j, mv.direction, mv.acceptance)
+                     for mv in mtk_moves(word, ps, part)]
+            assert moves == _ref_mtk_moves(word, ps, part)
+
+    @pytest.mark.parametrize("spec", ["constant:0.75", "word-hash"])
+    def test_me_at_total_10(self, spec):
+        bias = make_bias(spec)
+        words = enumerate_states("binary", n1=5, n0=5).states
+        self.assert_rows_equal(GeneralizedExclusionChain(bias, 5, 5),
+                               lambda s: transitions_me(s, bias),
+                               lambda s: _ref_me_row(s, bias), words)
