@@ -4,7 +4,9 @@
 
 Runs the CLI experiments ``stationary``, ``balance`` and ``gap`` on the
 chains ``mnn`` and ``mtk``, and ``congestion`` (``mtk`` paths over the
-``mnn`` matrix), on one fixed 3-class model at n = 7.  Each experiment runs
+``mnn`` matrix), on one fixed 3-class model at n = 7; ``stationary`` on
+``mtree`` over a fixed 7-leaf league tree; and ``decompose`` on ``mk1``
+over the words with class sizes (3, 3, 3) (1680 states).  Each experiment runs
 in a fresh interpreter, three times through ``cli.run_config``; the
 package's stage functions are wrapped with ``time.perf_counter`` timers, so
 the stages are timed as the CLI calls them, on whatever matrix form it
@@ -16,7 +18,8 @@ hands them.  Per experiment it reports, from the repeat with the shortest
 - ``stationary_exact_s``, split into ``lu_s`` (``np.linalg.solve``) and
   ``stationary_rest_s``; ``is_irreducible_s`` is part of the rest;
 - ``check_detailed_balance_s``; ``spectral_gap_s`` (includes the balance
-  scan it runs); ``congestion_s``;
+  scan it runs); ``congestion_s``; ``verify_decomposition_s`` (includes
+  the gaps it computes);
 - ``cli_s``: the whole ``run_config``;
 - ``peak_rss_mb``: the interpreter's peak resident set over the three runs.
 
@@ -44,12 +47,28 @@ SRC = HERE.parent / "src"
 
 MODEL = {"type": "kclass", "n": 7, "boundaries": [2, 4],
          "q": {"(1,2)": "0.6", "(1,3)": "0.7", "(2,3)": "0.8"}}
+TREE_MODEL = {"type": "league", "tree": {
+    "node": "A",
+    "children": [
+        {"node": "B", "children": [1, 2, 3],
+         "q": {"(1,2)": "0.6", "(1,3)": "0.8", "(2,3)": "0.8"}},
+        4,
+        {"node": "C", "children": [5, 6], "q": {"(1,2)": "0.9"}},
+        7,
+    ],
+    "q": {"(1,2)": "0.6", "(1,3)": "0.7", "(1,4)": "0.8",
+          "(2,3)": "0.8", "(2,4)": "0.8", "(3,4)": "0.7"},
+}}
+WORDS_MODEL = {"type": "kclass", "n": 9, "boundaries": [3, 6],
+               "q": {"(1,2)": "0.6", "(1,3)": "0.7", "(2,3)": "0.8"}}
+MODELS = {"mtree": TREE_MODEL, "mk1": WORDS_MODEL}  # every other chain: MODEL
 PLAN = (("mnn", "stationary"), ("mnn", "balance"), ("mnn", "gap"),
         ("mtk", "stationary"), ("mtk", "balance"), ("mtk", "gap"),
-        ("mtk", "congestion"))
+        ("mtk", "congestion"), ("mtree", "stationary"), ("mk1", "decompose"))
 REPEATS = 3
 STAGES = ("build_csr", "build_matrix", "stationary_exact", "is_irreducible",
-          "check_detailed_balance", "spectral_gap", "congestion")
+          "check_detailed_balance", "spectral_gap", "congestion",
+          "verify_decomposition")
 
 
 def _timed(owner, attr, totals, key):
@@ -76,7 +95,7 @@ def _one(chain, experiment):
     for name in STAGES:
         _timed(analysis, name, totals, name)
     _timed(np.linalg, "solve", totals, "lu")
-    cfg = {"model": MODEL, "chain": chain, "experiment": experiment}
+    cfg = {"model": MODELS.get(chain, MODEL), "chain": chain, "experiment": experiment}
     runs = []
     with tempfile.TemporaryDirectory() as out:
         for _ in range(REPEATS):
@@ -109,7 +128,8 @@ def main(argv=None):
     import scipy
 
     load_before = os.getloadavg()
-    record = {"label": args.label, "model": MODEL, "repeats": REPEATS,
+    record = {"label": args.label, "model": MODEL, "chain_models": MODELS,
+              "repeats": REPEATS,
               "host": {"usable_cores": len(os.sched_getaffinity(0)),
                        "python": platform.python_version(),
                        "numpy": np.__version__, "scipy": scipy.__version__}}

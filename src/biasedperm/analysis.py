@@ -5,11 +5,12 @@ row-stochastic matrices built once in CSR form (``build_csr``).  The
 irreducibility check, the stationary solve, the detailed-balance scan, the
 spectral gap, the TV scan and the congestion constant take the CSR matrix
 as it is and accept a dense array by converting it with ``sp.csr_matrix``;
-``build_matrix`` is the dense form, for callers that slice dense blocks
-(``verify_decomposition``).  Besides the laws of the worst-start TV scan,
-the only n x n array this allocates is the linear system of
-``stationary_exact`` (and, up to ``dense_cutoff`` states, the symmetrized
-matrix of ``spectral_gap``).
+so does ``verify_decomposition``, which slices each block's rows and
+columns out of the CSR as small dense arrays.  ``build_matrix`` is the
+dense form, for callers that want one.  Besides the laws of the
+worst-start TV scan, the only n x n array this allocates is the linear
+system of ``stationary_exact`` (and, up to ``dense_cutoff`` states, the
+symmetrized matrix of ``spectral_gap``).
 Eigenvalues are always computed on the symmetrized reversible form
 D^(1/2) P D^(-1/2); reversibility is asserted first via the
 detailed-balance scan, which keeps spectra real and matches the
@@ -23,7 +24,7 @@ import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations as _itperms
 
 import numpy as np
@@ -34,11 +35,13 @@ from scipy.sparse.csgraph import connected_components
 from . import permcore
 from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import all_words, area, bottom_word, top_word
-from .kernels import (ChainKernel, GeneralizedExclusionChain, _class_moves, _classes,
-                      mtk_moves)
-from .model import ClassPartition, ProbabilitySet, uniform_set, validate_kclass
+from .kernels import (AdjacentTranspositionChain, ChainKernel, GeneralizedExclusionChain,
+                      _class_moves, _classes)
+from .model import (ClassPartition, ProbabilitySet, random_monotone_set, uniform_set,
+                    validate_kclass)
 
 DEFAULT_BUDGET = 50_000
+_BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
 _TV_BLOCK = 128  # starts per column block of the TV scan; 64..256 time alike
 
 
@@ -52,7 +55,6 @@ class StateSpace:
 
     kind: str  # "permutations" | "words" | "binary"
     states: tuple
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "index", {s: i for i, s in enumerate(self.states)})
@@ -101,7 +103,7 @@ def enumerate_states(kind: str, *, n: int | None = None, multiplicities=None,
         count = math.factorial(n)
         _check_budget(count, budget)
         states = tuple(_itperms(range(1, n + 1)))
-        return StateSpace(kind=kind, states=states, meta={"n": n})
+        return StateSpace(kind=kind, states=states)
     if kind == "words":
         if not multiplicities:
             raise ValidationError("words need multiplicities")
@@ -112,14 +114,13 @@ def enumerate_states(kind: str, *, n: int | None = None, multiplicities=None,
         for c in sizes:
             count //= math.factorial(c)
         _check_budget(count, budget)
-        return StateSpace(kind=kind, states=tuple(_multiset_words(sizes)),
-                          meta={"multiplicities": sizes})
+        return StateSpace(kind=kind, states=tuple(_multiset_words(sizes)))
     if kind == "binary":
         if n1 is None or n0 is None:
             raise ValidationError("binary words need n1 and n0")
         _check_budget(math.comb(n1 + n0, n1), budget)
         states = tuple(sorted(all_words(n1, n0)))
-        return StateSpace(kind=kind, states=states, meta={"n1": n1, "n0": n0})
+        return StateSpace(kind=kind, states=states)
     raise ValidationError(f"unknown space kind {kind!r}")
 
 
@@ -294,20 +295,20 @@ def check_detailed_balance(matrix: sp.spmatrix | np.ndarray,
 
 
 def spectral_gap(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray | None = None,
-                 *, balance_tol: float = 1e-8, dense_cutoff: int = 2000) -> float:
+                 *, dense_cutoff: int = 2000) -> float:
     """1 minus the second-largest eigenvalue modulus of a reversible matrix.
 
     Parameters
     ----------
     matrix : row-stochastic square matrix, CSR or dense
     pi : stationary distribution; computed exactly when omitted
-    balance_tol : reversibility is asserted first at this tolerance
     dense_cutoff : above this size the top and bottom of the spectrum are
         obtained with sparse Lanczos iterations instead of a dense solve
 
-    The spectrum is taken from the symmetrized form D^(1/2) P D^(-1/2).
-    A 1-state chain has gap 1 by convention, which keeps decomposition
-    inequalities evaluable on degenerate partitions.
+    Reversibility is asserted first, to a detailed-balance violation of at
+    most ``_BALANCE_TOL``.  The spectrum is taken from the symmetrized form
+    D^(1/2) P D^(-1/2).  A 1-state chain has gap 1 by convention, which
+    keeps decomposition inequalities evaluable on degenerate partitions.
     """
     matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
@@ -321,7 +322,7 @@ def spectral_gap(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray | None = None,
             "symmetrized form is not computable for this matrix"
         )
     report = check_detailed_balance(matrix, pi)
-    if report.max_violation > balance_tol:
+    if report.max_violation > _BALANCE_TOL:
         raise PropertyViolationError(
             f"matrix is not reversible: detailed-balance violation "
             f"{report.max_violation} at edge {(report.row, report.col)}"
@@ -543,7 +544,8 @@ class DecompositionReport:
         return self.slack >= -1e-12
 
 
-def verify_decomposition(matrix: np.ndarray, pi: np.ndarray, blocks) -> DecompositionReport:
+def verify_decomposition(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray,
+                         blocks) -> DecompositionReport:
     """Evaluate the restriction/projection gap inequality on a state partition.
 
     Restrictions reject moves that leave their block (the rejected mass
@@ -551,7 +553,10 @@ def verify_decomposition(matrix: np.ndarray, pi: np.ndarray, blocks) -> Decompos
     weighted by the stationary distribution.  Returns all gaps and the
     slack of gap(P) >= (1/2) gap(projection) min_i gap(restriction_i).
     An internally disconnected block simply reports restriction gap 0.
+    Each block's rows are sliced out of the CSR as a dense array, so CSR
+    and dense input give equal reports.
     """
+    matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
     seen = np.zeros(n, dtype=bool)
     for b in blocks:
@@ -565,7 +570,7 @@ def verify_decomposition(matrix: np.ndarray, pi: np.ndarray, blocks) -> Decompos
     restriction_gaps = []
     for b in blocks:
         idx = np.asarray(sorted(b), dtype=int)
-        sub = matrix[np.ix_(idx, idx)].copy()
+        sub = matrix[idx][:, idx].toarray()
         off = sub.sum(axis=1) - np.diag(sub)
         np.fill_diagonal(sub, 1.0 - off)
         pi_b = pi[idx] / pi[idx].sum()
@@ -577,7 +582,7 @@ def verify_decomposition(matrix: np.ndarray, pi: np.ndarray, blocks) -> Decompos
     for bi, b in enumerate(blocks):
         idx = np.asarray(sorted(b), dtype=int)
         mass[bi] = pi[idx].sum()
-        flow = pi[idx, None] * matrix[idx, :]
+        flow = pi[idx, None] * matrix[idx].toarray()
         for bj, c in enumerate(blocks):
             proj[bi, bj] = flow[:, np.asarray(sorted(c), dtype=int)].sum()
         proj[bi, :] /= mass[bi]
@@ -886,16 +891,14 @@ def gap_scaling(family, sizes, budget: int = DEFAULT_BUDGET) -> ScalingFit:
     return fit_loglog(sizes, values)
 
 
-def fill_spot_check(n: int, count: int, seed: int):
+def fill_spot_check(n: int, count: int, seed: int, budget: int = DEFAULT_BUDGET):
     """Gap of seeded random monotone positively biased sets vs the uniform gap.
 
     Returns (violations, gaps, uniform_gap) where violations lists the
-    seed indices whose gap fell below the uniform chain's gap.
+    seed indices whose gap fell below the uniform chain's gap.  The n!
+    permutations are enumerated within the budget.
     """
-    from .kernels import AdjacentTranspositionChain
-    from .model import random_monotone_set
-
-    space = enumerate_states("permutations", n=n)
+    space = enumerate_states("permutations", n=n, budget=budget)
     uniform_matrix = build_csr(AdjacentTranspositionChain(uniform_set(n)), space)
     uniform_gap = spectral_gap(uniform_matrix)
     gaps = []

@@ -108,8 +108,9 @@ class _Run:
                 if key not in self.cfg:
                     raise ValidationError(f"chain \"me\" needs \"{key}\"")
             bias = kernels.make_bias(self.cfg["bias"])
-            return kernels.make_kernel("me", bias=bias, n1=int(self.cfg["n1"]),
-                                       n0=int(self.cfg["n0"]))
+            return kernels.make_kernel("me", bias=bias,
+                                       n1=model.parse_int(self.cfg["n1"], "n1"),
+                                       n0=model.parse_int(self.cfg["n0"], "n0"))
         if "model" not in self.cfg:
             raise ValidationError(f"chain {chain!r} needs a \"model\" section")
         prob_set, partition, tree = model.model_from_config(self.cfg["model"])
@@ -195,7 +196,7 @@ def _exp_gap(run: _Run):
 
 def _exp_tv(run: _Run):
     kernel = run.build_chain()
-    tmax = int(run.cfg.get("tmax", 0))
+    tmax = model.parse_int(run.cfg.get("tmax", 0), "tmax")
     if tmax < 1:
         raise ValidationError("tv needs a positive integer \"tmax\"")
     space, matrix, pi = run.solve(kernel)
@@ -214,10 +215,10 @@ def _exp_mix(run: _Run):
     kernel = run.build_chain()
     eps = _parse_epsilon(run.cfg)
     tmax = run.cfg.get("tmax")
+    tmax = None if tmax is None else model.parse_int(tmax, "tmax")
     space, matrix, pi = run.solve(kernel)
     # dense for the scan, as in _exp_tv
-    tau = analysis.mixing_time_exact(matrix.toarray(), pi, eps,
-                                     int(tmax) if tmax is not None else None)
+    tau = analysis.mixing_time_exact(matrix.toarray(), pi, eps, tmax)
     run.detail_header = ["epsilon", "tau"]
     run.detail.append([_fmt(eps), str(tau)])
     run.results.append(_result_row("mix", n=len(space.states[0]),
@@ -233,8 +234,9 @@ def _exp_decompose(run: _Run):
     fix = run.cfg.get("fix_classes", [1])
     if not isinstance(fix, list) or not fix:
         raise ValidationError("fix_classes must be a nonempty list of class labels")
+    fix = [model.parse_int(c, "a fix_classes label") for c in fix]
     space = analysis.space_for_kernel(kernel, budget=run.budget)
-    matrix = analysis.build_matrix(kernel, space)
+    matrix = analysis.build_csr(kernel, space)
     # closed-form weights: strongly biased word chains have stationary
     # masses below the generic solver's resolution
     pi = analysis.stationary_formula(space, kernel.prob_set, kernel.partition)
@@ -260,6 +262,8 @@ def _mtk_kernel(run: _Run):
     kernel = run.build_chain()
     if run.cfg.get("chain") != "mtk":
         raise ValidationError("paths and congestion experiments use chain \"mtk\"")
+    if kernel.prob_set.n < 2:
+        raise ValidationError("paths and congestion need n >= 2: one element has no edges")
     return kernel
 
 
@@ -334,8 +338,9 @@ def _exp_hitting(run: _Run):
         if key not in run.cfg:
             raise ValidationError(f"hitting needs \"{key}\"")
     bias = kernels.make_bias(run.cfg["bias"])
-    n1, n0 = int(run.cfg["n1"]), int(run.cfg["n0"])
-    trials = int(run.cfg["trials"])
+    n1 = model.parse_int(run.cfg["n1"], "n1")
+    n0 = model.parse_int(run.cfg["n0"], "n0")
+    trials = model.parse_int(run.cfg["trials"], "trials")
     summary = exclusion.hitting_time_to_top(bias, n1, n0, trials, run.seed)
     run.detail_header = ["row_type", "trial", "steps", "mean", "max", "area", "ratio"]
     for idx, steps in enumerate(summary.trials):
@@ -380,7 +385,7 @@ def _exp_scaling(run: _Run):
     sizes = run.cfg.get("sizes")
     if not isinstance(sizes, list) or len(sizes) < 3:
         raise ValidationError("scaling needs a \"sizes\" list with at least 3 sizes")
-    sizes = [int(s) for s in sizes]
+    sizes = [model.parse_int(s, "a size") for s in sizes]
     metric = run.cfg.get("metric", "relaxation")
     if metric not in ("relaxation", "mix"):
         raise ValidationError("metric must be \"relaxation\" or \"mix\"")
@@ -420,9 +425,10 @@ def _exp_scaling(run: _Run):
 
 
 def _exp_fill_check(run: _Run):
-    n = int(run.cfg.get("n", 3))
-    count = int(run.cfg.get("count", 200))
-    violations, gaps, uniform_gap = analysis.fill_spot_check(n, count, run.seed)
+    n = model.parse_int(run.cfg.get("n", 3), "n")
+    count = model.parse_int(run.cfg.get("count", 200), "count")
+    violations, gaps, uniform_gap = analysis.fill_spot_check(n, count, run.seed,
+                                                             budget=run.budget)
     run.detail_header = ["instance", "gap", "uniform_gap", "ok"]
     for idx, gap in enumerate(gaps):
         run.detail.append([str(idx), _fmt(gap), _fmt(uniform_gap),
@@ -479,9 +485,11 @@ def _write_outputs(run: _Run):
 def run_config(cfg: dict, out_dir=None, seed=None, budget=None, quiet=False) -> int:
     """Execute an already-parsed experiment config; returns the exit code."""
     try:
-        resolved_seed = int(seed if seed is not None else cfg.get("seed", 0))
-        resolved_budget = int(budget if budget is not None else
-                              cfg.get("budget", analysis.DEFAULT_BUDGET))
+        resolved_seed = model.parse_int(seed if seed is not None else cfg.get("seed", 0),
+                                        "seed")
+        resolved_budget = model.parse_int(budget if budget is not None else
+                                          cfg.get("budget", analysis.DEFAULT_BUDGET),
+                                          "budget")
         resolved_out = Path(out_dir if out_dir is not None else
                             cfg.get("out", "results"))
         job = _Run(cfg, resolved_out, resolved_seed, resolved_budget)

@@ -12,7 +12,9 @@ M_nn reads it from the pairwise matrix, M_pp from the class-pair table and
 M_e from the bias callback.  The class chains (M_tk, M_k1, M_pp) resolve
 their class-pair table once, when the kernel is built; each row reads the
 classes by position from the state itself (words) or through the
-partition (permutations), as the kernel's ``space_kind`` says.
+partition (permutations), as the kernel's ``space_kind`` says.  M_tree
+likewise resolves each pair's lowest common ancestor once: its rows read a
+list of (pair, blocking leaf set, probability) built with the kernel.
 
 Holding conventions follow the chain definitions exactly; no extra 1/2
 laziness is added anywhere.  Acceptance probabilities above one are an
@@ -31,7 +33,7 @@ from pathlib import Path
 
 from .errors import PropertyViolationError, ValidationError
 from .model import ClassPartition, ProbabilitySet, _parse_pair_key, validate_kclass
-from .treerep import LeagueTree
+from . import treerep
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +265,8 @@ def _mpp_row(word: tuple, table) -> dict:
     return _swap_row(word, lambda i: float(table[word[i], word[i - 1]]))
 
 
-def transitions_mtree(sigma, tree: LeagueTree,
-                      prob_set: ProbabilitySet | None = None) -> dict:
-    """Tree-pair chain.
+def transitions_mtree(sigma, tree: treerep.LeagueTree) -> dict:
+    """Tree-pair chain (:class:`TreeSwapChain`).
 
     An unordered pair {a, b} is chosen uniformly among the C(n, 2) pairs.
     The move fires only if no element currently between a and b descends
@@ -274,33 +275,7 @@ def transitions_mtree(sigma, tree: LeagueTree,
     between them fixed.  Placing an already-ordered pair "in order" leaves
     the state unchanged; that mass folds into the self-loop.
     """
-    sigma = tuple(sigma)
-    n = tree.n
-    if not _is_permutation(sigma, n):
-        raise ValidationError(f"{sigma} is not a permutation of 1..{n}")
-    if prob_set is None:
-        from .treerep import induced_probabilities
-
-        prob_set = induced_probabilities(tree)
-    pos = {x: i + 1 for i, x in enumerate(sigma)}
-    base = 1.0 / (n * (n - 1) / 2)
-    targets: dict = {}
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            lo, hi = sorted((pos[a], pos[b]))
-            blockers = tree.leaf_descendants(tree.lca(a, b)[0])
-            if any(sigma[m - 1] in blockers for m in range(lo + 1, hi)):
-                continue
-            p_in = prob_set.prob(a, b)
-            in_order = list(sigma)
-            in_order[lo - 1], in_order[hi - 1] = a, b
-            out_order = list(sigma)
-            out_order[lo - 1], out_order[hi - 1] = b, a
-            for tgt, mass in ((tuple(in_order), base * p_in),
-                              (tuple(out_order), base * (1.0 - p_in))):
-                if tgt != sigma:
-                    targets[tgt] = targets.get(tgt, 0.0) + mass
-    return _finish_row(sigma, targets)
+    return TreeSwapChain(tree).transitions(sigma)
 
 
 def transitions_me(word, bias) -> dict:
@@ -351,7 +326,6 @@ def constant_bias(p: float):
 
     bias.known_min_ratio = p / (1.0 - p)
     bias.constant_p = p
-    bias.spec = f"constant:{p}"
     return bias
 
 
@@ -398,8 +372,6 @@ def square_table_bias(table: dict):
         return v / (1.0 + v) if word[i - 1] == 1 else 1.0 / (1.0 + v)
 
     bias.known_min_ratio = min(lam.values())
-    bias.square_biases = dict(lam)
-    bias.spec = "square-dependent"
     return bias
 
 
@@ -413,9 +385,6 @@ def word_hash_bias(word, i):
     digest = hashlib.blake2b(payload, digest_size=8).digest()
     u = int.from_bytes(digest, "little") / 2.0**64
     return 0.55 + 0.4 * u
-
-
-word_hash_bias.spec = "word-hash"
 
 
 def make_bias(spec: str):
@@ -538,14 +507,35 @@ class ParticleProcessChain(ChainKernel):
 class TreeSwapChain(ChainKernel):
     name = "mtree"
 
-    def __init__(self, tree: LeagueTree):
-        from .treerep import induced_probabilities
-
+    def __init__(self, tree: treerep.LeagueTree):
         self.tree = tree
-        self.prob_set = induced_probabilities(tree)
+        self.prob_set = treerep.induced_probabilities(tree)
+        # (a, b, leaves that block the pair, p[a][b]) for every pair a < b
+        self.pairs = [(a, b, tree.leaf_descendants(tree.lca(a, b)[0]),
+                       self.prob_set.prob(a, b))
+                      for a in range(1, tree.n + 1) for b in range(a + 1, tree.n + 1)]
 
     def transitions(self, state):
-        return transitions_mtree(state, self.tree, self.prob_set)
+        sigma = tuple(state)
+        n = self.tree.n
+        if not _is_permutation(sigma, n):
+            raise ValidationError(f"{sigma} is not a permutation of 1..{n}")
+        pos = {x: i for i, x in enumerate(sigma)}
+        base = 1.0 / (n * (n - 1) / 2)
+        targets: dict = {}
+        for a, b, blockers, p_in in self.pairs:
+            lo, hi = sorted((pos[a], pos[b]))
+            if not blockers.isdisjoint(sigma[lo + 1:hi]):
+                continue
+            in_order = list(sigma)
+            in_order[lo], in_order[hi] = a, b
+            out_order = list(sigma)
+            out_order[lo], out_order[hi] = b, a
+            for tgt, mass in ((tuple(in_order), base * p_in),
+                              (tuple(out_order), base * (1.0 - p_in))):
+                if tgt != sigma:
+                    targets[tgt] = targets.get(tgt, 0.0) + mass
+        return _finish_row(sigma, targets)
 
 
 class GeneralizedExclusionChain(ChainKernel):

@@ -207,11 +207,6 @@ class MonotonicityReport:
         return self.prop1 and (self.prop2 or self.prop3)
 
 
-def _empty_matrix(n: int) -> np.ndarray:
-    p = np.full((n, n), np.nan)
-    return p
-
-
 def _check_open_interval(value: float, what: str) -> float:
     value = float(value)
     if not 0.0 < value < 1.0:
@@ -231,7 +226,7 @@ def build_general(n: int, entries) -> ProbabilitySet:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    p = _empty_matrix(n)
+    p = np.full((n, n), np.nan)
     seen = set()
     for i, j, v in entries:
         if not (1 <= i <= n and 1 <= j <= n) or i == j:
@@ -260,7 +255,7 @@ def build_kclass(params: KClassParams) -> ProbabilitySet:
     """
     part = params.partition
     n = part.n
-    p = _empty_matrix(n)
+    p = np.full((n, n), np.nan)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ci, cj = part.class_of(i), part.class_of(j)
@@ -277,7 +272,7 @@ def build_from_weights(w: WeightVector) -> ProbabilitySet:
     """Frequency-induced set with p[i][j] = w_i / (w_i + w_j)."""
     vals = w.values
     n = len(vals)
-    p = _empty_matrix(n)
+    p = np.full((n, n), np.nan)
     for i in range(n):
         for j in range(i + 1, n):
             v = float(vals[i] / (vals[i] + vals[j]))
@@ -418,6 +413,14 @@ def parse_probability(text) -> float:
     return _check_open_interval(value, f"probability {text!r}")
 
 
+def parse_int(value, what: str) -> int:
+    """Parse an integer field of a config file."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def _parse_pair_key(key: str) -> tuple[int, int]:
     body = key.strip()
     if body.startswith("(") and body.endswith(")"):
@@ -445,11 +448,20 @@ def model_from_config(cfg: dict):
     kind = cfg.get("type")
     if kind == "general":
         _require_keys(cfg, {"type", "n", "entries"})
-        entries = [(int(i), int(j), parse_probability(s)) for i, j, s in cfg["entries"]]
-        return build_general(int(cfg["n"]), entries), None, None
+        raw = cfg["entries"]
+        if not isinstance(raw, (list, tuple)) or any(
+                not isinstance(e, (list, tuple)) or len(e) != 3 for e in raw):
+            raise ValidationError("general entries must be [i, j, \"p\"] triples")
+        entries = [(parse_int(i, "an entry's i"), parse_int(j, "an entry's j"),
+                    parse_probability(s)) for i, j, s in raw]
+        return build_general(parse_int(cfg["n"], "model n"), entries), None, None
     if kind == "kclass":
         _require_keys(cfg, {"type", "n", "boundaries", "q"})
-        part = ClassPartition(int(cfg["n"]), tuple(int(c) for c in cfg["boundaries"]))
+        if not (isinstance(cfg["boundaries"], (list, tuple))
+                and isinstance(cfg["q"], dict)):
+            raise ValidationError("kclass models need a boundaries list and a q object")
+        part = ClassPartition(parse_int(cfg["n"], "model n"),
+                              tuple(parse_int(c, "a boundary") for c in cfg["boundaries"]))
         q = {_parse_pair_key(k): parse_probability(v) for k, v in cfg["q"].items()}
         return build_kclass(KClassParams(partition=part, q=q)), part, None
     if kind == "weights":

@@ -5,7 +5,9 @@ right.  The children of an internal node v are labeled 1..deg(v) by their
 position, and v carries one probability q[(a, b)] in (1/2, 1) for every
 child pair a < b.  The pairwise probability of two elements is the q value
 at their lowest common ancestor, indexed by the two child branches the
-elements descend through.
+elements descend through.  Each internal node stores its leaf set and the
+child label every leaf below it descends through, so the lowest common
+ancestor is found by walking down from the root until two leaves part.
 
 The tree-strings representation records, for each internal node, the order
 in which the permutation visits the node's leaf descendants, written as
@@ -28,6 +30,10 @@ class TreeNode:
     name: str
     children: list  # TreeNode or int (leaf label)
     q: dict  # (a, b) 1-based child labels, a < b -> float in (1/2, 1)
+    # filled in by LeagueTree: the leaf descendants, and the child label each
+    # one descends through
+    leaves: frozenset = field(default=frozenset(), init=False, repr=False)
+    branch: dict = field(default_factory=dict, init=False, repr=False)
 
 
 class LeagueTree:
@@ -36,12 +42,10 @@ class LeagueTree:
     def __init__(self, root: TreeNode):
         self.root = root
         self.internal_nodes: list[TreeNode] = []
-        self._leafsets: dict[int, list[frozenset]] = {}  # id(node) -> per-child leaf sets
         self._collect(root)
-        leaves = self._leafset(root)
-        n = len(leaves)
-        if leaves != frozenset(range(1, n + 1)):
-            raise ValidationError(f"leaves must be exactly 1..n, got {sorted(leaves)}")
+        n = len(root.leaves)
+        if root.leaves != frozenset(range(1, n + 1)):
+            raise ValidationError(f"leaves must be exactly 1..n, got {sorted(root.leaves)}")
         self.n = n
         names = [v.name for v in self.internal_nodes]
         if len(set(names)) != len(names):
@@ -49,64 +53,44 @@ class LeagueTree:
         self.nodes_by_name = {v.name: v for v in self.internal_nodes}
         # sorted left-to-right <=> each node's child leaf ranges are increasing
         for v in self.internal_nodes:
-            flat = []
-            for child_set in self._leafsets[id(v)]:
-                flat.extend(sorted(child_set))
+            flat = sorted(v.leaves, key=lambda x: (v.branch[x], x))
             if flat != sorted(flat):
                 raise ValidationError(
                     f"leaves under node {v.name!r} are not sorted left to right"
                 )
-        # leaf -> (ancestor node, child label) chain for LCA lookups
-        self._branch: dict[int, dict[int, int]] = {x: {} for x in range(1, n + 1)}
-        for v in self.internal_nodes:
-            for label, child_set in enumerate(self._leafsets[id(v)], start=1):
-                for x in child_set:
-                    self._branch[x][id(v)] = label
-        self._by_id = {id(v): v for v in self.internal_nodes}
-        self._full_leafset = {id(v): self._leafset(v) for v in self.internal_nodes}
-        self._lca_cache: dict[tuple[int, int], tuple] = {}
 
     def _collect(self, node: TreeNode):
+        """Record the internal nodes in preorder and fill in their leaf maps."""
         self.internal_nodes.append(node)
-        sets = []
-        for child in node.children:
+        node.branch = {}
+        for label, child in enumerate(node.children, start=1):
             if isinstance(child, TreeNode):
                 self._collect(child)
-                sets.append(self._leafset(child))
+                leaves = child.leaves
             else:
-                sets.append(frozenset([child]))
-        self._leafsets[id(node)] = sets
-
-    def _leafset(self, node: TreeNode) -> frozenset:
-        out = set()
-        for s in self._leafsets[id(node)]:
-            out |= s
-        return frozenset(out)
+                leaves = (child,)
+            for x in leaves:
+                if x in node.branch:
+                    raise ValidationError(
+                        f"leaf {x} appears twice under node {node.name!r}")
+                node.branch[x] = label
+        node.leaves = frozenset(node.branch)
 
     def leaf_descendants(self, node: TreeNode) -> frozenset:
-        return self._full_leafset[id(node)]
+        return node.leaves
 
     def child_label_of(self, node: TreeNode, leaf: int) -> int:
-        return self._branch[leaf][id(node)]
+        return node.branch[leaf]
 
     def lca(self, i: int, j: int) -> tuple[TreeNode, int, int]:
         """Lowest common ancestor of leaves i != j and their child branches."""
         if i == j:
             raise ValidationError("lca needs two distinct leaves")
-        cached = self._lca_cache.get((i, j))
-        if cached is not None:
-            return cached
-        # the lca is the unique common ancestor at which the branches differ
-        best = None
-        for node_id in set(self._branch[i]) & set(self._branch[j]):
-            if self._branch[i][node_id] != self._branch[j][node_id]:
-                node = self._by_id[node_id]
-                if best is None or len(self._full_leafset[node_id]) < len(
-                        self._full_leafset[id(best)]):
-                    best = node
-        result = (best, self._branch[i][id(best)], self._branch[j][id(best)])
-        self._lca_cache[(i, j)] = result
-        return result
+        # walk down from the root while both leaves take the same branch
+        node = self.root
+        while node.branch[i] == node.branch[j]:
+            node = node.children[node.branch[i] - 1]
+        return node, node.branch[i], node.branch[j]
 
 
 def parse_tree(obj) -> LeagueTree:

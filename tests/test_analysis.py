@@ -52,6 +52,7 @@ from biasedperm.kernels import (
     ParticleProcessChain,
     TreeSwapChain,
     constant_bias,
+    mtk_moves,
     word_hash_bias,
 )
 
@@ -614,6 +615,20 @@ class TestDecomposition:
         assert report.holds
         assert report.slack >= 0
 
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3, 2)])
+    def test_csr_and_dense_input_give_equal_reports(self, sizes):
+        part = ClassPartition.from_sizes(sizes)
+        ps = build_kclass(KClassParams(
+            part, {(1, 2): 0.6, (1, 3): 0.7, (2, 3): 0.8}))
+        kernel = CrossClassChain(ps, part)
+        space = space_for_kernel(kernel)
+        pi = stationary_formula(space, ps, part)
+        matrix = build_csr(kernel, space)
+        for fix in ([1], [2, 3]):
+            blocks = blocks_by_class_positions(space, fix)
+            assert verify_decomposition(matrix, pi, blocks) == \
+                verify_decomposition(matrix.toarray(), pi, blocks)
+
     def test_overlapping_blocks_rejected(self):
         matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
         with pytest.raises(ValidationError):
@@ -639,7 +654,7 @@ class TestCanonicalPaths:
         ps, part = seeded_kclass(4, 2, seed=2)
         sigma = (1, 2, 3, 4)
         # find an adjacent cross-class move
-        for mv in analysis.mtk_moves(sigma, ps, part):
+        for mv in mtk_moves(sigma, ps, part):
             if mv.j == mv.i + 1:
                 y = permcore.transpose(sigma, mv.i, mv.j)
                 path = canonical_path(sigma, y, mv.direction, ps, part)
@@ -669,7 +684,7 @@ class TestCanonicalPaths:
     def test_wrong_direction_rejected(self):
         ps, part = seeded_kclass(4, 2, seed=2)
         sigma = (1, 2, 3, 4)
-        mv = analysis.mtk_moves(sigma, ps, part)[0]
+        mv = mtk_moves(sigma, ps, part)[0]
         y = permcore.transpose(sigma, mv.i, mv.j)
         other = {"L": "N", "R": "N", "N": "L"}[mv.direction]
         with pytest.raises(ValidationError):

@@ -90,6 +90,50 @@ class TestValidation:
         assert not (tmp_path / "out").exists()
 
 
+MALFORMED = {
+    "seed": {"model": UNIFORM3, "chain": "mnn", "experiment": "stationary",
+             "seed": "abc"},
+    "budget": {"model": UNIFORM3, "chain": "mnn", "experiment": "stationary",
+               "budget": "lots"},
+    "tv-tmax": {"model": UNIFORM3, "chain": "mnn", "experiment": "tv",
+                "tmax": "ten"},
+    "mix-tmax": {"model": UNIFORM3, "chain": "mnn", "experiment": "mix",
+                 "epsilon": "0.25", "tmax": [5]},
+    "me-n1": {"chain": "me", "bias": "constant:0.75", "n1": "x", "n0": 2,
+              "experiment": "balance"},
+    "hitting-trials": {"chain": "me", "bias": "constant:0.75", "n1": 2, "n0": 2,
+                       "experiment": "hitting", "trials": None},
+    "scaling-sizes": {"chain": "mnn", "family": "uniform", "experiment": "scaling",
+                      "sizes": ["a", 3, 4]},
+    "fill-check-n": {"experiment": "fill-check", "n": "x"},
+    "fill-check-count": {"experiment": "fill-check", "count": {}},
+    "model-n": {"model": {"type": "kclass", "n": "x", "boundaries": [], "q": {}},
+                "chain": "mnn", "experiment": "stationary"},
+    "boundaries": {"model": {"type": "kclass", "n": 3, "boundaries": 2, "q": {}},
+                   "chain": "mnn", "experiment": "stationary"},
+    "entry-no-probability": {"model": {"type": "general", "n": 2, "entries": [[1, 2]]},
+                             "chain": "mnn", "experiment": "stationary"},
+    "entry-index": {"model": {"type": "general", "n": 2, "entries": [["a", 2, "0.6"]]},
+                    "chain": "mnn", "experiment": "stationary"},
+    "fix-classes": {"model": KCLASS4, "chain": "mk1", "experiment": "decompose",
+                    "fix_classes": [[1]]},
+    "paths-n1": {"model": {"type": "kclass", "n": 1, "boundaries": [], "q": {}},
+                 "chain": "mtk", "experiment": "paths"},
+    "congestion-n1": {"model": {"type": "kclass", "n": 1, "boundaries": [], "q": {}},
+                      "chain": "mtk", "experiment": "congestion"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_value_exits_1_with_a_message(tmp_path, capsys, name):
+    # in process, a traceback would be an exception escaping cli.run
+    cfg = write_config(tmp_path, dict(MALFORMED[name], out=str(tmp_path / "out")))
+    assert cli.run(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestPropertyViolation:
     def test_non_reversible_balance_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -170,6 +214,13 @@ class TestExperiments:
         assert rows[0][0] == "row_type"
         assert rows[-1][0] == "summary"
         assert len(rows) == 6
+
+    def test_fill_check_honours_the_budget(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "experiment": "fill-check", "n": 6, "count": 1, "budget": 100,
+            "out": str(tmp_path / "out")})
+        assert cli.run(cfg) == 2
+        assert "720 states exceed the budget of 100" in capsys.readouterr().err
 
     def test_fill_check_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

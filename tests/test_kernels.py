@@ -40,7 +40,7 @@ from biasedperm.kernels import (
     word_hash_bias,
 )
 
-from conftest import EXAMPLE_TREE, seeded_kclass
+from conftest import EXAMPLE_TREE, random_league_tree, seeded_kclass
 
 
 def assert_row_stochastic(row):
@@ -588,6 +588,31 @@ def _ref_transitions_from_moves(state, prob_set, partition, directions):
     return _ref_finish_row(state, targets)
 
 
+def _ref_mtree(sigma, tree, prob_set):
+    # the former row: lca and leaf set looked up for every pair on every row
+    sigma = tuple(sigma)
+    n = tree.n
+    pos = {x: i + 1 for i, x in enumerate(sigma)}
+    base = 1.0 / (n * (n - 1) / 2)
+    targets = {}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            lo, hi = sorted((pos[a], pos[b]))
+            blockers = tree.leaf_descendants(tree.lca(a, b)[0])
+            if any(sigma[m - 1] in blockers for m in range(lo + 1, hi)):
+                continue
+            p_in = prob_set.prob(a, b)
+            in_order = list(sigma)
+            in_order[lo - 1], in_order[hi - 1] = a, b
+            out_order = list(sigma)
+            out_order[lo - 1], out_order[hi - 1] = b, a
+            for tgt, mass in ((tuple(in_order), base * p_in),
+                              (tuple(out_order), base * (1.0 - p_in))):
+                if tgt != sigma:
+                    targets[tgt] = targets.get(tgt, 0.0) + mass
+    return _ref_finish_row(sigma, targets)
+
+
 def _words_222_model(seed):
     rng = np.random.default_rng(seed)
     part = ClassPartition.from_sizes((2, 2, 2))
@@ -646,6 +671,14 @@ class TestReferenceRows:
             moves = [(mv.i, mv.j, mv.direction, mv.acceptance)
                      for mv in mtk_moves(word, ps, part)]
             assert moves == _ref_mtk_moves(word, ps, part)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mtree_on_permutations(self, seed):
+        tree = random_league_tree(6, np.random.default_rng([808, seed]), max_degree=3)
+        ps = treerep.induced_probabilities(tree)
+        perms = enumerate_states("permutations", n=6).states
+        self.assert_rows_equal(TreeSwapChain(tree), lambda s: transitions_mtree(s, tree),
+                               lambda s: _ref_mtree(s, tree, ps), perms)
 
     @pytest.mark.parametrize("spec", ["constant:0.75", "word-hash"])
     def test_me_at_total_10(self, spec):

@@ -70,6 +70,61 @@ class TestInducedProbabilities:
                 assert ps.prob(i, j) == 0.8
 
 
+def _ref_lca(tree, i, j):
+    """The former set-intersection lca: of the common ancestors at which i
+    and j take different branches, the one with the fewest leaves."""
+    branch = {x: {} for x in range(1, tree.n + 1)}  # leaf -> {id(node): label}
+    size = {}  # id(node) -> number of leaf descendants
+    by_id = {}
+
+    def walk(node):
+        by_id[id(node)] = node
+        leaves = []
+        for label, child in enumerate(node.children, start=1):
+            below = walk(child) if isinstance(child, treerep.TreeNode) else [child]
+            for x in below:
+                branch[x][id(node)] = label
+            leaves += below
+        size[id(node)] = len(leaves)
+        return leaves
+
+    walk(tree.root)
+    best = None
+    for node_id in set(branch[i]) & set(branch[j]):
+        if branch[i][node_id] != branch[j][node_id]:
+            if best is None or size[node_id] < size[best]:
+                best = node_id
+    return by_id[best].name, branch[i][best], branch[j][best]
+
+
+class TestLca:
+    @staticmethod
+    def assert_matches_reference(tree):
+        for i in range(1, tree.n + 1):
+            for j in range(1, tree.n + 1):
+                if i != j:
+                    node, a, b = tree.lca(i, j)
+                    assert (node.name, a, b) == _ref_lca(tree, i, j)
+
+    def test_example_tree_equals_the_reference(self, example_tree):
+        self.assert_matches_reference(example_tree)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_trees_equal_the_reference(self, seed):
+        rng = np.random.default_rng([404, seed])
+        for n, max_degree in ((6, 2), (7, 3), (9, 4)):
+            self.assert_matches_reference(random_league_tree(n, rng, max_degree))
+
+    def test_same_leaf_rejected(self, example_tree):
+        with pytest.raises(ValidationError, match="distinct"):
+            example_tree.lca(3, 3)
+
+    def test_repeated_leaf_rejected(self):
+        with pytest.raises(ValidationError, match="twice"):
+            treerep.parse_tree({"node": "R", "children": [1, 2, 2],
+                                "q": {"(1,2)": "0.7", "(1,3)": "0.7", "(2,3)": "0.7"}})
+
+
 class TestTreeStrings:
     def test_worked_example(self, example_tree):
         strings = treerep.permutation_to_tree_strings((6, 1, 4, 3, 2, 7, 5),
