@@ -43,6 +43,7 @@ from .model import (ClassPartition, ProbabilitySet, random_monotone_set, uniform
 DEFAULT_BUDGET = 50_000
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
 _TV_BLOCK = 128  # starts per column block of the TV scan; 64..256 time alike
+_TV_HORIZON = 1 << 20  # longest TV scan or coupling run, in steps
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +398,15 @@ def _tv_iter(matrix: np.ndarray, pi: np.ndarray):
 
 
 def tv_curve(matrix: np.ndarray, pi: np.ndarray, tmax: int) -> np.ndarray:
-    """Worst-start total variation distance at t = 0..tmax."""
+    """Worst-start total variation distance at t = 0..tmax (at most _TV_HORIZON)."""
+    _check_horizon(tmax)
     with closing(_tv_iter(matrix, pi)) as it:
         return np.array([next(it)[1] for _ in range(tmax + 1)])
+
+
+def _check_horizon(tmax):
+    if tmax is not None and tmax > _TV_HORIZON:
+        raise BudgetExceededError(f"tmax {tmax} exceeds the TV horizon of {_TV_HORIZON} steps")
 
 
 def _check_monotone(curve, upto: int):
@@ -418,11 +425,13 @@ def mixing_time_exact(matrix: np.ndarray, pi: np.ndarray, eps: float,
     curve rather than assuming monotone decay: with an explicit tmax the
     curve is computed to tmax and must end below eps; without one the scan
     continues to twice the first crossing (at least 16 steps beyond).
-    Non-monotone curves are rejected with diagnostics.
+    Non-monotone curves are rejected with diagnostics.  A tmax beyond
+    ``_TV_HORIZON``, and a curve still above eps there, exceed the budget.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    hard_cap = tmax if tmax is not None else 1 << 20
+    _check_horizon(tmax)
+    hard_cap = tmax if tmax is not None else _TV_HORIZON
     with closing(_tv_iter(matrix, pi)) as it:
         curve = [next(it)[1]]
         crossing = None if curve[0] > eps else 0
@@ -513,7 +522,7 @@ def mixing_bracket(kernel: ChainKernel, eps: float,
         curve.append(tv)
         if spread <= eps:
             break
-        if t >= 1 << 20:
+        if t >= _TV_HORIZON:
             raise BudgetExceededError(
                 f"coupling bound still {spread} > {eps} at the horizon t={t}"
             )

@@ -24,6 +24,8 @@ from .kernels import square_of
 
 RIGHT = "R"
 DOWN = "D"
+_HIT_BLOCK = 4096  # positions and coins drawn per block of a hitting trial
+_HIT_MEMO_MAX = 1 << 18  # bias values memoized per hitting run; ~100 B each, ~25 MiB full
 
 
 @dataclass(frozen=True)
@@ -197,46 +199,64 @@ def hitting_time_to_top(bias, n1: int, n0: int, trials: int, seed: int) -> Hitti
     Warns when the callback advertises a minimum bias ratio <= 1 (the walk
     is then not pushed toward the top and the experiment may be slow), but
     runs regardless.
+
+    A bias callback is evaluated at most once per (word, site) pair in one
+    call: the trials share a memo of its values (up to ``_HIT_MEMO_MAX``
+    entries), so the bias must be a function of (word, i) alone.
     """
+    if n1 < 0 or n0 < 0:
+        raise ValidationError(f"hitting needs n1, n0 >= 0, got n1={n1}, n0={n0}")
+    if trials < 1:
+        raise ValidationError(f"hitting needs at least one trial, got {trials}")
     known = getattr(bias, "known_min_ratio", None)
     if known is not None and known <= 1.0:
         warnings.warn(
             f"minimum bias ratio {known} <= 1; hitting times may be exponential",
             stacklevel=2,
         )
-    results = []
-    for t in range(trials):
-        results.append(_one_hit(bias, n1, n0, trial_seed(seed, t)))
+    memo: dict[int, float] = {}
+    results = [_one_hit(bias, n1, n0, trial_seed(seed, t), memo) for t in range(trials)]
     return HittingSummary(n1=n1, n0=n0, trials=tuple(results), seed=seed)
 
 
-def _one_hit(bias, n1: int, n0: int, seed: int) -> int:
+def _one_hit(bias, n1: int, n0: int, seed: int, memo: dict) -> int:
+    """Steps of one trial; callback values are read from and added to memo.
+
+    The word is kept twice: as a list, and as an integer code with bit
+    n - 1 - j holding word[j].  A swap at site i exchanges two differing
+    bits, so it flips both: code ^= 3 << (n - 1 - i).  The memo key
+    code * n + i encodes the pair (code, i), since 0 < i < n.
+    """
     if n1 == 0 or n0 == 0:
         return 0
     n = n1 + n0
     word = list(bottom_word(n1, n0))
+    code = (1 << n) - (1 << n0)
     target = n1 * n0
     current = 0
     rng = np.random.default_rng(seed)
     const_p = getattr(bias, "constant_p", None)
     steps = 0
-    block = 4096
     while True:
-        positions = rng.integers(1, n, size=block)
-        coins = rng.random(block)
-        for k in range(block):
+        positions = rng.integers(1, n, size=_HIT_BLOCK).tolist()
+        coins = rng.random(_HIT_BLOCK).tolist()
+        for i, coin in zip(positions, coins):
             steps += 1
-            i = int(positions[k])
             a, b = word[i - 1], word[i]
             if a == b:
                 continue
             if const_p is not None:
                 p = const_p if a == 1 else 1.0 - const_p
             else:
-                p = bias(tuple(word), i)
-            if coins[k] < p:
+                key = code * n + i
+                p = memo.get(key)
+                if p is None:
+                    p = bias(tuple(word), i)
+                    if len(memo) < _HIT_MEMO_MAX:
+                        memo[key] = p
+            if coin < p:
                 word[i - 1], word[i] = b, a
+                code ^= 3 << (n - 1 - i)
                 current += 1 if a == 1 else -1
                 if current == target:
                     return steps
-

@@ -32,7 +32,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .errors import PropertyViolationError, ValidationError
-from .model import ClassPartition, ProbabilitySet, _parse_pair_key, validate_kclass
+from .model import ClassPartition, ProbabilitySet, _parse_pair_key, parse_int, validate_kclass
 from . import treerep
 
 
@@ -389,6 +389,8 @@ def word_hash_bias(word, i):
 
 def make_bias(spec: str):
     """Bias registry: "constant:<p>", "square-dependent:<table-file>", "word-hash"."""
+    if not isinstance(spec, str):
+        raise ValidationError(f"bias must be a spec string, got {spec!r}")
     if spec == "word-hash":
         return word_hash_bias
     if spec.startswith("constant:"):
@@ -546,6 +548,8 @@ class GeneralizedExclusionChain(ChainKernel):
         self.bias = bias
         self.n1 = int(n1)
         self.n0 = int(n0)
+        if self.n1 < 0 or self.n0 < 0:
+            raise ValidationError(f"me needs n1, n0 >= 0, got n1={n1}, n0={n0}")
 
     def transitions(self, state):
         word = tuple(state)
@@ -564,13 +568,15 @@ class GeneralizedExclusionChain(ChainKernel):
 def make_kernel(name: str, *, prob_set=None, partition=None, tree=None,
                 bias=None, n1=None, n0=None) -> ChainKernel:
     """Kernel registry keyed by the config-file chain names."""
+    if not isinstance(name, str):
+        raise ValidationError(f"chain must be a name string, got {name!r}")
     if name == "mnn":
         return AdjacentTranspositionChain(_need(prob_set, "mnn needs a model"))
     if name == "mtk":
         return ClassTranspositionChain(_need(prob_set, "mtk needs a model"),
                                        _need(partition, "mtk needs a class partition"))
     if name.startswith("mi:"):
-        cls = int(name.split(":", 1)[1])
+        cls = parse_int(name.split(":", 1)[1], "the mi class")
         return SameClassChain(_need(prob_set, "mi needs a model"),
                               _need(partition, "mi needs a class partition"), cls)
     if name == "mk1":

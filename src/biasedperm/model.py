@@ -414,7 +414,12 @@ def parse_probability(text) -> float:
 
 
 def parse_int(value, what: str) -> int:
-    """Parse an integer field of a config file."""
+    """Parse an integer field of a config file.
+
+    Booleans and non-integral numbers are refused rather than truncated.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -466,6 +471,8 @@ def model_from_config(cfg: dict):
         return build_kclass(KClassParams(partition=part, q=q)), part, None
     if kind == "weights":
         _require_keys(cfg, {"type", "w"})
+        if not isinstance(cfg["w"], (list, tuple)):
+            raise ValidationError("weights models need a \"w\" list of decimal strings")
         w = WeightVector.from_strings(cfg["w"])
         return build_from_weights(w), w.induced_partition(), None
     if kind == "league":

@@ -127,6 +127,8 @@ def _parse_node(obj):
         if q_raw:
             raise ValidationError(f"unary node {name!r} may not carry q values")
         return children[0]  # contraction
+    if not isinstance(q_raw, dict):
+        raise ValidationError(f"node {name!r}: q must be an object of pair keys")
     deg = len(children)
     wanted = {(a, b) for a in range(1, deg + 1) for b in range(a + 1, deg + 1)}
     q = {}

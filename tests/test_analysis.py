@@ -471,6 +471,19 @@ class TestMixing:
         with pytest.raises(BudgetExceededError, match="horizon"):
             mixing_time_exact(matrix, pi, 1e-6, tmax=2)
 
+    def test_tmax_beyond_the_horizon_is_refused_before_scanning(self, monkeypatch):
+        def no_scan(matrix, pi):
+            raise AssertionError("the TV scan ran")
+
+        monkeypatch.setattr(analysis, "_tv_iter", no_scan)
+        matrix = np.eye(2)
+        pi = np.full(2, 0.5)
+        tmax = analysis._TV_HORIZON + 1
+        with pytest.raises(BudgetExceededError, match="horizon"):
+            tv_curve(matrix, pi, tmax)
+        with pytest.raises(BudgetExceededError, match="horizon"):
+            mixing_time_exact(matrix, pi, 0.25, tmax)
+
     def test_non_monotone_curve_rejected(self):
         with pytest.raises(PropertyViolationError, match="monotone"):
             analysis._check_monotone([0.5, 0.3, 0.4], 2)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,23 @@ MALFORMED = {
                  "chain": "mtk", "experiment": "paths"},
     "congestion-n1": {"model": {"type": "kclass", "n": 1, "boundaries": [], "q": {}},
                       "chain": "mtk", "experiment": "congestion"},
+    "seed-fraction": {"model": UNIFORM3, "chain": "mnn", "experiment": "stationary",
+                      "seed": 2.9},
+    "seed-bool": {"model": UNIFORM3, "chain": "mnn", "experiment": "stationary",
+                  "seed": True},
+    "tmax-fraction": {"model": UNIFORM3, "chain": "mnn", "experiment": "tv",
+                      "tmax": 4.5},
+    "bias-number": {"chain": "me", "bias": 5, "n1": 2, "n0": 2,
+                    "experiment": "hitting", "trials": 3},
+    "chain-number": {"model": UNIFORM3, "chain": 5, "experiment": "stationary"},
+    "chain-mi-class": {"model": UNIFORM3, "chain": "mi:x", "experiment": "gap"},
+    "league-q-list": {"model": {"type": "league", "tree": {
+        "node": "A", "children": [1, 2], "q": []}},
+        "chain": "mtree", "experiment": "stationary"},
+    "weights-w-number": {"model": {"type": "weights", "w": 5},
+                         "chain": "mnn", "experiment": "stationary"},
+    "me-negative-n1": {"chain": "me", "bias": "constant:0.75", "n1": -1, "n0": 2,
+                       "experiment": "balance"},
 }
 
 
@@ -132,6 +153,40 @@ def test_malformed_value_exits_1_with_a_message(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("n1,n0,trials", [(-1, 5, 3), (5, -2, 3), (2, 2, -3)])
+def test_bad_hitting_sizes_exit_1_in_a_subprocess(tmp_path, n1, n0, trials):
+    # a subprocess with a timeout: n1 = -1 once looped forever
+    cfg = write_config(tmp_path, {
+        "experiment": "hitting", "chain": "me", "bias": "word-hash",
+        "n1": n1, "n0": n0, "trials": trials, "out": str(tmp_path / "out")})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "biasedperm.cli", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment", ["tv", "mix"])
+def test_tmax_beyond_the_horizon_exits_2_without_a_scan(tmp_path, capsys, monkeypatch,
+                                                        experiment):
+    def no_scan(matrix, pi):
+        raise AssertionError("the TV scan ran")
+
+    monkeypatch.setattr(analysis, "_tv_iter", no_scan)
+    cfg = write_config(tmp_path, {
+        "model": UNIFORM3, "chain": "mnn", "experiment": experiment,
+        "epsilon": "0.25", "tmax": 10**30, "out": str(tmp_path / "out")})
+    assert cli.run(cfg) == 2
+    assert "horizon" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestPropertyViolation:

@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from biasedperm import exclusion
 from biasedperm.errors import BudgetExceededError, ValidationError
 from biasedperm.kernels import constant_bias, square_table_bias, transitions_me, word_hash_bias
 from biasedperm.exclusion import (
@@ -136,3 +137,111 @@ class TestHitting:
     def test_generic_callback_path(self):
         summary = hitting_time_to_top(word_hash_bias, 2, 2, trials=3, seed=7)
         assert all(t > 0 for t in summary.trials)
+
+
+def _reference_one_hit(bias, n1, n0, seed):
+    """The hitting loop before the memo: one callback call per step."""
+    if n1 == 0 or n0 == 0:
+        return 0
+    n = n1 + n0
+    word = list(bottom_word(n1, n0))
+    target = n1 * n0
+    current = 0
+    rng = np.random.default_rng(seed)
+    const_p = getattr(bias, "constant_p", None)
+    steps = 0
+    block = 4096
+    while True:
+        positions = rng.integers(1, n, size=block)
+        coins = rng.random(block)
+        for k in range(block):
+            steps += 1
+            i = int(positions[k])
+            a, b = word[i - 1], word[i]
+            if a == b:
+                continue
+            if const_p is not None:
+                p = const_p if a == 1 else 1.0 - const_p
+            else:
+                p = bias(tuple(word), i)
+            if coins[k] < p:
+                word[i - 1], word[i] = b, a
+                current += 1 if a == 1 else -1
+                if current == target:
+                    return steps
+
+
+def _reference_trials(bias, n1, n0, trials, seed):
+    return tuple(_reference_one_hit(bias, n1, n0, trial_seed(seed, t)) for t in range(trials))
+
+
+def _square_bias(n1, n0, seed=3):
+    rng = np.random.default_rng(seed)
+    lam = {f"({x},{y})": float(rng.uniform(1.2, 4.0))
+           for x in range(1, n0 + 1) for y in range(1, n1 + 1)}
+    return square_table_bias({"h": n1, "w": n0, "bias": lam})
+
+
+def _counting(bias, seen):
+    def counted(word, i):
+        seen.append((word, i))
+        return bias(word, i)
+
+    return counted
+
+
+MEMO_CASES = [("constant", 1, 1), ("constant", 4, 4), ("constant", 8, 8),
+              ("word-hash", 2, 2), ("word-hash", 3, 4), ("word-hash", 5, 5),
+              ("square", 2, 3), ("square", 4, 4)]
+
+
+def _bias(kind, n1, n0):
+    if kind == "constant":
+        return constant_bias(0.75)
+    if kind == "word-hash":
+        return word_hash_bias
+    return _square_bias(n1, n0)
+
+
+class TestHittingMemo:
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize("kind,n1,n0", MEMO_CASES)
+    def test_trials_equal_the_reference_loop(self, kind, n1, n0, seed):
+        bias = _bias(kind, n1, n0)
+        summary = hitting_time_to_top(bias, n1, n0, trials=12, seed=seed)
+        assert summary.trials == _reference_trials(bias, n1, n0, 12, seed)
+
+    @pytest.mark.parametrize("kind,n1,n0", [("word-hash", 3, 4), ("word-hash", 5, 5),
+                                            ("square", 4, 4)])
+    def test_callback_runs_once_per_visited_pair(self, kind, n1, n0):
+        bias = _bias(kind, n1, n0)
+        visited, calls = [], []
+        expected = _reference_trials(_counting(bias, visited), n1, n0, 20, 7)
+        summary = hitting_time_to_top(_counting(bias, calls), n1, n0, trials=20, seed=7)
+        assert summary.trials == expected
+        assert len(calls) <= len(set(visited)) < len(visited)
+        assert set(calls) == set(visited)
+
+    @pytest.mark.parametrize("cap", [0, 1, 7])
+    def test_a_full_memo_keeps_the_trials(self, monkeypatch, cap):
+        monkeypatch.setattr(exclusion, "_HIT_MEMO_MAX", cap)
+        sizes = []
+        one_hit = exclusion._one_hit
+
+        def spy(bias, n1, n0, seed, memo):
+            steps = one_hit(bias, n1, n0, seed, memo)
+            sizes.append(len(memo))
+            return steps
+
+        monkeypatch.setattr(exclusion, "_one_hit", spy)
+        calls = []
+        summary = hitting_time_to_top(_counting(word_hash_bias, calls), 3, 3,
+                                      trials=10, seed=4)
+        assert summary.trials == _reference_trials(word_hash_bias, 3, 3, 10, 4)
+        assert max(sizes) == cap
+        assert len(calls) > len(set(calls))  # beyond the cap, pairs are re-evaluated
+
+    @pytest.mark.parametrize("n1,n0,trials", [(-1, 5, 3), (5, -2, 3), (2, 2, 0), (2, 2, -3)])
+    def test_bad_sizes_and_trial_counts_are_refused(self, n1, n0, trials):
+        with pytest.raises(ValidationError):
+            hitting_time_to_top(word_hash_bias, n1, n0, trials=trials, seed=0)
