@@ -10,12 +10,18 @@ The chain is criterion 6b's: bias 0.75, n1 = total // 2.  At totals 12 and
 - ``stationary_s``: ``stationary_exact``;
 - ``tv64_s``: a 64-step ``tv_curve``.
 
-Each of these is the best of three runs.  Then it times the full
-total-14 worst-start scan once (``mixing_time_exact``, eps 1/4, tmax 768),
-which must give tau = 550.  The package is imported from this checkout's
-``src/``.  The usable cores and the load average before and after are
-recorded beside the numbers, which are printed and written as JSON
-(default ``BENCH_tv_scan.json`` next to this script).
+Each of these is the best of three runs.  Before them it records
+``tv64_peak_rss_mb``, the lowest of three peak resident sets
+(``ru_maxrss``) of a fresh interpreter that builds the total-14 chain as
+CSR, solves pi and runs the 64-step curve on the dense matrix, as the CLI
+does; it runs first because on Linux a child's ``ru_maxrss`` starts from
+the spawning process's resident set.  Last it times the full total-14
+worst-start scan once (``mixing_time_exact``, eps 1/4, tmax 768), which
+must give tau = 550.
+The package is imported from this checkout's ``src/``.  The usable cores
+and the load average before and after are recorded beside the numbers,
+which are printed and written as JSON (default ``BENCH_tv_scan.json`` next
+to this script).
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import argparse
 import json
 import os
 import platform
+import resource
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -68,6 +76,24 @@ def _stages(total):
             f"tv{CURVE_STEPS}_s": tv_s, f"tv{CURVE_STEPS}_last": float(curve[-1])}
 
 
+def _curve_peak():
+    """Print this interpreter's peak RSS after the total-14 curve, in KiB."""
+    kernel = _kernel(FULL_TOTAL)
+    matrix = analysis.build_csr(kernel, analysis.space_for_kernel(kernel))
+    pi = analysis.stationary_exact(matrix)
+    analysis.tv_curve(matrix.toarray(), pi, CURVE_STEPS)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _curve_rss_mb():
+    peaks = []
+    for _ in range(REPEATS):
+        proc = subprocess.run([sys.executable, __file__, "--curve-peak"],
+                              capture_output=True, text=True, check=True)
+        peaks.append(int(proc.stdout.splitlines()[-1]) / 1024)
+    return min(peaks)
+
+
 def _full_scan():
     kernel = _kernel(FULL_TOTAL)
     matrix = analysis.build_matrix(kernel, analysis.space_for_kernel(kernel))
@@ -85,13 +111,18 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="current")
     parser.add_argument("--out", type=Path, default=HERE / "BENCH_tv_scan.json")
+    parser.add_argument("--curve-peak", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    if args.curve_peak:
+        _curve_peak()
+        return
 
     load_before = os.getloadavg()
     record = {"label": args.label,
               "host": {"usable_cores": len(os.sched_getaffinity(0)),
                        "python": platform.python_version(),
                        "numpy": np.__version__, "scipy": scipy.__version__}}
+    record[f"tv{CURVE_STEPS}_peak_rss_mb"] = _curve_rss_mb()
     record["totals"] = {str(total): _stages(total) for total in TOTALS}
     record["full_scan"] = _full_scan()
     record["host"]["loadavg_before"] = load_before

@@ -26,10 +26,12 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import permutations as _itperms
+from queue import SimpleQueue
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.sparse.csgraph import connected_components
 
 from . import permcore
@@ -217,8 +219,10 @@ def stationary_exact(matrix: sp.spmatrix | np.ndarray) -> np.ndarray:
     if not is_irreducible(matrix):
         raise ValidationError("matrix is not irreducible")
     # P^T - I with exact entries (m_ji off the diagonal, m_ii - 1.0 on it),
-    # so the LU sees the same system from CSR and from dense input
-    a = matrix.T.tocsr().toarray()
+    # so the LU sees the same system from CSR and from dense input; the
+    # transposed view is F-contiguous, so numpy hands it to LAPACK's
+    # column-major buffer by a straight copy instead of a strided transpose
+    a = matrix.toarray().T
     a[np.diag_indices(n)] -= 1.0
     a[-1, :] = 1.0
     b = np.zeros(n)
@@ -359,32 +363,69 @@ def _tv_iter(matrix: np.ndarray, pi: np.ndarray):
     core.  The product sums each entry over the source states in ascending
     order and the axis-0 reduction adds the states in index order, the
     summation order of the whole-matrix propagation P^t @ csr(P); the tests
-    hold the curve bit-identical to it.  Close the generator to release the
-    pool.
+    hold the curve bit-identical to it.
+
+    Every buffer is allocated before the first step and reused: each block
+    lives in a flat buffer of n * min(_TV_BLOCK, n) doubles, and each worker
+    holds one (product, difference) pair of the same size.  A step writes
+    the product into the worker's spare buffer, reduces through its
+    difference buffer and swaps the product in as the block.  A scan whose
+    buffers exceed physical memory is refused with ``BudgetExceededError``
+    before any is allocated.  Close the generator to release the pool.
     """
     n = matrix.shape[0]
-    forward = sp.csr_matrix(matrix.T)
+    size = n * min(_TV_BLOCK, n)
+    widths = [min(_TV_BLOCK, n - s) for s in range(0, n, _TV_BLOCK)]
+    workers = min(len(widths), _usable_cores())
+    need = 8 * size * (len(widths) + 2 * workers)
+    memory = _physical_memory()
+    if need > memory:
+        raise BudgetExceededError(
+            f"the TV scan over {n} states needs {need / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
+    # float64 like the laws: csr_matvecs casts its inputs to the matrix's type
+    forward = sp.csr_matrix(matrix.T, dtype=np.float64)
     forward.sort_indices()
     worst = 0.0
     blocks = []
     # t = 0 reduces rows of the identity along their contiguous axis, which
     # sums in the same (pairwise) order as the full n x n identity did
-    for s in range(0, n, _TV_BLOCK):
-        width = min(_TV_BLOCK, n - s)
+    for k, width in enumerate(widths):
+        s = k * _TV_BLOCK
         rows = np.zeros((width, n))
         rows[np.arange(width), np.arange(s, s + width)] = 1.0
         worst = max(worst, float(np.abs(rows - pi).sum(axis=1).max()))
-        blocks.append(np.ascontiguousarray(rows.T))
+        block = np.zeros(size)
+        block[:n * width].reshape(n, width)[...] = rows.T
+        blocks.append(block)
     yield 0, 0.5 * worst
 
     column = pi[:, None]
+    spare = SimpleQueue()
+    for _ in range(workers):
+        spare.put((np.empty(size), np.empty(size)))
 
     def advance(k):
-        blocks[k] = forward @ blocks[k]
-        return float(np.abs(blocks[k] - column).sum(axis=0).max())
+        width = widths[k]
+        used = n * width
+        block = blocks[k]
+        product, diff = spare.get()
+        product[:used] = 0.0
+        # the routine forward @ block runs, accumulating into product
+        csr_matvecs(n, n, width, forward.indptr, forward.indices, forward.data,
+                    block[:used], product[:used])
+        view = diff[:used].reshape(n, width)
+        np.subtract(product[:used].reshape(n, width), column, out=view)
+        np.abs(view, out=view)
+        value = float(view.sum(axis=0).max())
+        blocks[k] = product
+        # queued only once the reduction is read: the next worker to take
+        # the pair overwrites both buffers
+        spare.put((block, diff))
+        return value
 
     order = range(len(blocks))
-    workers = min(len(blocks), _usable_cores())
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         t = 0
@@ -399,12 +440,13 @@ def _tv_iter(matrix: np.ndarray, pi: np.ndarray):
 
 def tv_curve(matrix: np.ndarray, pi: np.ndarray, tmax: int) -> np.ndarray:
     """Worst-start total variation distance at t = 0..tmax (at most _TV_HORIZON)."""
-    _check_horizon(tmax)
+    check_horizon(tmax)
     with closing(_tv_iter(matrix, pi)) as it:
         return np.array([next(it)[1] for _ in range(tmax + 1)])
 
 
-def _check_horizon(tmax):
+def check_horizon(tmax):
+    """Refuse a tmax beyond ``_TV_HORIZON`` (None sets no tmax)."""
     if tmax is not None and tmax > _TV_HORIZON:
         raise BudgetExceededError(f"tmax {tmax} exceeds the TV horizon of {_TV_HORIZON} steps")
 
@@ -430,7 +472,7 @@ def mixing_time_exact(matrix: np.ndarray, pi: np.ndarray, eps: float,
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    _check_horizon(tmax)
+    check_horizon(tmax)
     hard_cap = tmax if tmax is not None else _TV_HORIZON
     with closing(_tv_iter(matrix, pi)) as it:
         curve = [next(it)[1]]

@@ -199,6 +199,7 @@ def _exp_tv(run: _Run):
     tmax = model.parse_int(run.cfg.get("tmax", 0), "tmax")
     if tmax < 1:
         raise ValidationError("tv needs a positive integer \"tmax\"")
+    analysis.check_horizon(tmax)  # before the solve, which can take seconds
     space, matrix, pi = run.solve(kernel)
     # the scan gets a dense matrix: perfbench's tracer counts the scanned
     # operator with np.count_nonzero, which refuses sparse input
@@ -216,6 +217,7 @@ def _exp_mix(run: _Run):
     eps = _parse_epsilon(run.cfg)
     tmax = run.cfg.get("tmax")
     tmax = None if tmax is None else model.parse_int(tmax, "tmax")
+    analysis.check_horizon(tmax)  # before the solve, as in _exp_tv
     space, matrix, pi = run.solve(kernel)
     # dense for the scan, as in _exp_tv
     tau = analysis.mixing_time_exact(matrix.toarray(), pi, eps, tmax)

@@ -1,6 +1,8 @@
 import math
 import sys
 import threading
+import tracemalloc
+from contextlib import closing
 from functools import lru_cache
 from itertools import permutations
 
@@ -384,6 +386,24 @@ class TestCsrPipeline:
         with pytest.raises(BudgetExceededError, match="physical memory"):
             stationary_exact(matrix)
 
+    @pytest.mark.parametrize("chain", ["mtk", "me"])
+    def test_solve_is_the_former_c_order_system_bit_for_bit(self, chain):
+        if chain == "mtk":
+            prob_set, partition = seeded_kclass(6, 3, seed=[909, 1])
+            kernel = ClassTranspositionChain(prob_set, partition)
+        else:
+            kernel = GeneralizedExclusionChain(constant_bias(0.75), 5, 5)
+        matrix = build_csr(kernel, space_for_kernel(kernel))
+        n = matrix.shape[0]
+        # the system as it was built before: a C-ordered copy of P^T
+        a = matrix.T.tocsr().toarray()
+        a[np.diag_indices(n)] -= 1.0
+        a[-1, :] = 1.0
+        b = np.zeros(n)
+        b[-1] = 1.0
+        former = np.clip(np.linalg.solve(a, b), 0.0, None)
+        assert np.array_equal(stationary_exact(matrix), former / former.sum())
+
 
 class TestSpectralGap:
     def test_two_state_rank_one(self):
@@ -571,6 +591,36 @@ class TestMixing:
         monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
         matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks
         assert mixing_time_exact(matrix, pi, 0.25) == 240
+
+    def test_scan_allocates_nothing_per_step(self):
+        matrix, pi = _exclusion_matrix(12)  # 924 states: eight blocks
+        block_bytes = 8 * 924 * 128
+        tracemalloc.start()
+        try:
+            with closing(analysis._tv_iter(matrix, pi)) as it:
+                for _ in range(3):  # t = 0, 1, 2: buffers and pool in place
+                    next(it)
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                for _ in range(10):
+                    next(it)
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before < block_bytes / 2
+
+    def test_scan_larger_than_memory_is_refused(self, monkeypatch):
+        matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+        # two blocks padded to 128 columns, plus two buffers per worker
+        need = 8 * 252 * 128 * (2 + 2 * 2)
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: need)
+        assert mixing_time_exact(matrix, pi, 0.25) == 240
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: need - 1)
+        with pytest.raises(BudgetExceededError, match="physical memory"):
+            tv_curve(matrix, pi, 5)
+        with pytest.raises(BudgetExceededError, match="physical memory"):
+            mixing_time_exact(matrix, pi, 0.25)
 
     @pytest.mark.parametrize("chain", ["mnn", "mtk", "me"])
     def test_dense_is_the_csr_bit_for_bit(self, chain):

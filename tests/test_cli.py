@@ -180,7 +180,11 @@ def test_tmax_beyond_the_horizon_exits_2_without_a_scan(tmp_path, capsys, monkey
     def no_scan(matrix, pi):
         raise AssertionError("the TV scan ran")
 
+    def no_build(kernel, space):
+        raise AssertionError("the chain was built and solved")
+
     monkeypatch.setattr(analysis, "_tv_iter", no_scan)
+    monkeypatch.setattr(analysis, "build_csr", no_build)
     cfg = write_config(tmp_path, {
         "model": UNIFORM3, "chain": "mnn", "experiment": experiment,
         "epsilon": "0.25", "tmax": 10**30, "out": str(tmp_path / "out")})
