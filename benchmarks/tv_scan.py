@@ -6,9 +6,11 @@ The chain is criterion 6b's: bias 0.75, n1 = total // 2.  At totals 12 and
 14 (924 and 3432 states) it times, with ``time.perf_counter``:
 
 - ``row_us``: the kernel's ``transitions`` over every state, per row;
-- ``build_s``: ``build_matrix``, as the CLI builds it;
-- ``stationary_s``: ``stationary_exact``;
-- ``tv64_s``: a 64-step ``tv_curve``.
+- ``build_s``: ``build_csr``, as the CLI builds it;
+- ``stationary_s``: ``stationary_exact`` on the CSR matrix;
+- ``tv64_s``: a 64-step ``tv_curve`` on the dense matrix (``toarray()``,
+  untimed), which is what ``cli._exp_tv`` and ``cli._exp_mix`` hand the
+  scan.
 
 Each of these is the best of three runs.  Before them it records
 ``tv64_peak_rss_mb``, the lowest of three peak resident sets
@@ -16,8 +18,8 @@ Each of these is the best of three runs.  Before them it records
 CSR, solves pi and runs the 64-step curve on the dense matrix, as the CLI
 does; it runs first because on Linux a child's ``ru_maxrss`` starts from
 the spawning process's resident set.  Last it times the full total-14
-worst-start scan once (``mixing_time_exact``, eps 1/4, tmax 768), which
-must give tau = 550.
+worst-start scan once (``mixing_time_exact`` on the dense matrix, eps 1/4,
+tmax 768), which must give tau = 550.
 The package is imported from this checkout's ``src/``.  The usable cores
 and the load average before and after are recorded beside the numbers,
 which are printed and written as JSON (default ``BENCH_tv_scan.json`` next
@@ -68,9 +70,10 @@ def _stages(total):
     kernel = _kernel(total)
     space = analysis.space_for_kernel(kernel)
     rows_s, _ = _best(lambda: [kernel.transitions(s) for s in space.states])
-    build_s, matrix = _best(lambda: analysis.build_matrix(kernel, space))
+    build_s, matrix = _best(lambda: analysis.build_csr(kernel, space))
     stationary_s, pi = _best(lambda: analysis.stationary_exact(matrix))
-    tv_s, curve = _best(lambda: analysis.tv_curve(matrix, pi, CURVE_STEPS))
+    dense = matrix.toarray()
+    tv_s, curve = _best(lambda: analysis.tv_curve(dense, pi, CURVE_STEPS))
     return {"states": len(space), "row_us": 1e6 * rows_s / len(space),
             "build_s": build_s, "stationary_s": stationary_s,
             f"tv{CURVE_STEPS}_s": tv_s, f"tv{CURVE_STEPS}_last": float(curve[-1])}
@@ -96,10 +99,11 @@ def _curve_rss_mb():
 
 def _full_scan():
     kernel = _kernel(FULL_TOTAL)
-    matrix = analysis.build_matrix(kernel, analysis.space_for_kernel(kernel))
+    matrix = analysis.build_csr(kernel, analysis.space_for_kernel(kernel))
     pi = analysis.stationary_exact(matrix)
+    dense = matrix.toarray()
     start = time.perf_counter()
-    tau = analysis.mixing_time_exact(matrix, pi, EPS, tmax=FULL_TMAX)
+    tau = analysis.mixing_time_exact(dense, pi, EPS, tmax=FULL_TMAX)
     seconds = time.perf_counter() - start
     if tau != FULL_TAU:
         raise SystemExit(f"total-{FULL_TOTAL} scan gave tau = {tau}, expected {FULL_TAU}")

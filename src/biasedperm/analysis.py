@@ -451,55 +451,49 @@ def check_horizon(tmax):
         raise BudgetExceededError(f"tmax {tmax} exceeds the TV horizon of {_TV_HORIZON} steps")
 
 
-def _check_monotone(curve, upto: int):
-    for t in range(upto):
+def _tau(curve, eps: float) -> int:
+    """1 + the last t with curve[t] > eps, or 0 if there is none.
+
+    The "for all later times" clause of tau is honoured by reading the
+    whole curve, not by assuming decay; a step that rises by more than
+    1e-12 is rejected with diagnostics.
+    """
+    for t in range(len(curve) - 1):
         if curve[t + 1] > curve[t] + 1e-12:
             raise PropertyViolationError(
                 f"TV curve is not monotone: tv({t})={curve[t]} < tv({t + 1})={curve[t + 1]}"
             )
+    return max((t + 1 for t, value in enumerate(curve) if value > eps), default=0)
 
 
 def mixing_time_exact(matrix: np.ndarray, pi: np.ndarray, eps: float,
                       tmax: int | None = None) -> int:
-    """Smallest t with TV(t') <= eps for every t' up to the scanned horizon.
+    """Smallest t with TV(t') <= eps for every scanned t' >= t (``_tau``).
 
-    The "for all later times" clause is honored by scanning the whole
-    curve rather than assuming monotone decay: with an explicit tmax the
-    curve is computed to tmax and must end below eps; without one the scan
-    continues to twice the first crossing (at least 16 steps beyond).
-    Non-monotone curves are rejected with diagnostics.  A tmax beyond
-    ``_TV_HORIZON``, and a curve still above eps there, exceed the budget.
+    With an explicit tmax the curve is scanned to tmax.  Without one the
+    scan ends at max(2c, c + 16), where c is the first t with TV(t) <= eps,
+    and at ``_TV_HORIZON`` while no such t has been seen.  A tmax beyond
+    ``_TV_HORIZON``, and a curve still above eps at the end of the scan,
+    exceed the budget; non-monotone curves are rejected.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
     check_horizon(tmax)
-    hard_cap = tmax if tmax is not None else _TV_HORIZON
+    end = tmax
+    curve = []
     with closing(_tv_iter(matrix, pi)) as it:
-        curve = [next(it)[1]]
-        crossing = None if curve[0] > eps else 0
-        t = 0
-        while True:
-            if crossing is not None:
-                horizon = tmax if tmax is not None else max(2 * crossing, crossing + 16)
-                if t >= horizon:
-                    break
-            elif tmax is not None and t >= tmax:
-                break
-            if t >= hard_cap and crossing is None:
-                raise BudgetExceededError(
-                    f"TV distance still {curve[-1]} > {eps} at the horizon t={t}"
-                )
-            t, value = next(it)
+        for t, value in it:
             curve.append(value)
-            if crossing is None and value <= eps:
-                crossing = t
-    _check_monotone(curve, len(curve) - 1)
-    over = [t for t, v in enumerate(curve) if v > eps]
-    if over and over[-1] == len(curve) - 1:
+            if end is None and value <= eps:
+                end = max(2 * t, t + 16)
+            if t >= (_TV_HORIZON if end is None else end):
+                break
+    tau = _tau(curve, eps)
+    if tau == len(curve):
         raise BudgetExceededError(
             f"TV distance still {curve[-1]} > {eps} at the horizon t={len(curve) - 1}"
         )
-    return over[-1] + 1 if over else 0
+    return tau
 
 
 def mixing_bracket(kernel: ChainKernel, eps: float,
@@ -511,7 +505,8 @@ def mixing_bracket(kernel: ChainKernel, eps: float,
     of the O(n^2) of the worst-start scan.
 
     lower: 1 + the last t at which the TV distance from either extremal
-    start exceeds eps.  Each of them is at most d(t), so tau >= lower.
+    start exceeds eps (``_tau`` of their worst-of-two curve, which must not
+    rise).  Each of them is at most d(t), so tau >= lower.
 
     upper: the first t with E_top[area] - E_bottom[area] <= eps.  The
     heat-bath update (pick a site; if the labels differ, put the 0 first
@@ -570,9 +565,7 @@ def mixing_bracket(kernel: ChainKernel, eps: float,
             )
         dist = np.stack([forward @ dist[0], forward @ dist[1]])
         t += 1
-    _check_monotone(curve, t)
-    over = [s for s, v in enumerate(curve) if v > eps]
-    return (over[-1] + 1 if over else 0), t
+    return _tau(curve, eps), t
 
 
 # ---------------------------------------------------------------------------
@@ -751,15 +744,16 @@ def _n_path(x, i: int, j: int, classes) -> _PathBuilder:
 
 
 def canonical_path(x, y, direction: str, prob_set: ProbabilitySet,
-                   partition: ClassPartition, *, prop3_order: bool = False) -> CanonicalPath:
+                   partition: ClassPartition) -> CanonicalPath:
     """Build the canonical adjacent-transposition path for one edge.
 
     (x, y) must be a positive-probability move of the transposition chain
     with the claimed direction.  L and R edges slide one element across
-    the (strictly smaller-class) gap and back; N edges use the two-phase
-    construction.  With ``prop3_order`` the N construction is mirrored
-    (the left element moves right first), matching sets that satisfy the
-    column rather than the row monotonicity clause.
+    the (strictly smaller-class) gap and back (``_lr_path``); N edges use
+    the two-phase construction (``_n_path``).  On the weakly monotone sets
+    of Bhakta-Miracle-Randall-Streib (prop1 and prop2, or prop1 and prop3)
+    the path is to stay at or above the lighter endpoint's weight; the
+    tests and the CLI's ``paths`` experiment check that it does.
     """
     x, y = tuple(x), tuple(y)
     diff = [p for p in range(1, len(x) + 1) if x[p - 1] != y[p - 1]]
@@ -772,37 +766,29 @@ def canonical_path(x, y, direction: str, prob_set: ProbabilitySet,
         raise ValidationError(
             f"{x} -> {y} is not a direction-{direction} move of the transposition chain"
         )
-    return _edge_path(x, i, j, direction, classes, prop3_order)
+    return _edge_path(x, i, j, direction, classes)
 
 
-def _edge_path(x: tuple, i: int, j: int, direction: str, classes: tuple,
-               prop3_order: bool) -> CanonicalPath:
+def _edge_path(x: tuple, i: int, j: int, direction: str, classes: tuple) -> CanonicalPath:
     """The canonical path of the move swapping positions i < j of x, checked
     to end at the swapped state."""
-    if direction in ("L", "R"):
-        builder = _lr_path(x, i, j)
-        states, positions = builder.states, builder.positions
-    elif not prop3_order:
-        builder = _n_path(x, i, j, classes)
-        states, positions = builder.states, builder.positions
-    else:
-        n = len(x)
-        mirrored = _n_path(x[::-1], n + 1 - j, n + 1 - i, classes[::-1])
-        states = [s[::-1] for s in mirrored.states]
-        positions = [n - p for p in mirrored.positions]
+    builder = _lr_path(x, i, j) if direction in ("L", "R") else _n_path(x, i, j, classes)
     y = permcore.transpose(x, i, j)
-    if states[-1] != y:
+    if builder.states[-1] != y:
         raise PropertyViolationError(
-            f"path construction ended at {states[-1]} instead of {y}"
+            f"path construction ended at {builder.states[-1]} instead of {y}"
         )
-    return CanonicalPath(x=x, y=y, direction=direction, states=tuple(states),
-                         swap_positions=tuple(positions))
+    return CanonicalPath(x=x, y=y, direction=direction, states=tuple(builder.states),
+                         swap_positions=tuple(builder.positions))
 
 
 def collect_canonical_paths(space: StateSpace, prob_set: ProbabilitySet,
-                            partition: ClassPartition, *,
-                            prop3_order: bool = False) -> list[PathRecord]:
-    """Canonical paths for every transposition-chain edge over a space."""
+                            partition: ClassPartition) -> list[PathRecord]:
+    """Canonical paths for every transposition-chain (M_tk) edge over a space.
+
+    Each edge x -> y gets the path ``canonical_path`` builds and the edge's
+    probability under M_tk, 1/(3n) times its acceptance.
+    """
     if space.kind != "permutations":
         raise ValidationError("canonical paths are defined over permutation spaces")
     table = validate_kclass(prob_set, partition)
@@ -811,7 +797,7 @@ def collect_canonical_paths(space: StateSpace, prob_set: ProbabilitySet,
     for xi, x in enumerate(space.states):
         classes = _classes(x, partition, False)
         for mv in _class_moves(x, classes, table):
-            path = _edge_path(x, mv.i, mv.j, mv.direction, classes, prop3_order)
+            path = _edge_path(x, mv.i, mv.j, mv.direction, classes)
             records.append(PathRecord(x_index=xi, y_index=space.index[path.y],
                                       prob=base * mv.acceptance, path=path))
     return records
@@ -827,10 +813,6 @@ class CongestionReport:
     max_path_len: int
     n_paths: int
     edge_counts: dict
-
-    @property
-    def A(self) -> float:
-        return self.constant
 
 
 def congestion(nn_matrix: sp.spmatrix | np.ndarray, paths: list[PathRecord],

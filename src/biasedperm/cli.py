@@ -194,12 +194,24 @@ def _exp_gap(run: _Run):
     run.summary.append(f"spectral gap: {gap:.6g}")
 
 
+def _parse_tmax(run: _Run) -> int | None:
+    """The config's "tmax" (None when absent): a positive integer within
+    the TV horizon, checked before the solve, which can take seconds."""
+    raw = run.cfg.get("tmax")
+    if raw is None:
+        return None
+    tmax = model.parse_int(raw, "tmax")
+    if tmax < 1:
+        raise ValidationError(f"\"tmax\" must be a positive integer, got {tmax}")
+    analysis.check_horizon(tmax)
+    return tmax
+
+
 def _exp_tv(run: _Run):
     kernel = run.build_chain()
-    tmax = model.parse_int(run.cfg.get("tmax", 0), "tmax")
-    if tmax < 1:
+    tmax = _parse_tmax(run)
+    if tmax is None:
         raise ValidationError("tv needs a positive integer \"tmax\"")
-    analysis.check_horizon(tmax)  # before the solve, which can take seconds
     space, matrix, pi = run.solve(kernel)
     # the scan gets a dense matrix: perfbench's tracer counts the scanned
     # operator with np.count_nonzero, which refuses sparse input
@@ -215,9 +227,7 @@ def _exp_tv(run: _Run):
 def _exp_mix(run: _Run):
     kernel = run.build_chain()
     eps = _parse_epsilon(run.cfg)
-    tmax = run.cfg.get("tmax")
-    tmax = None if tmax is None else model.parse_int(tmax, "tmax")
-    analysis.check_horizon(tmax)  # before the solve, as in _exp_tv
+    tmax = _parse_tmax(run)
     space, matrix, pi = run.solve(kernel)
     # dense for the scan, as in _exp_tv
     tau = analysis.mixing_time_exact(matrix.toarray(), pi, eps, tmax)
@@ -429,6 +439,8 @@ def _exp_scaling(run: _Run):
 def _exp_fill_check(run: _Run):
     n = model.parse_int(run.cfg.get("n", 3), "n")
     count = model.parse_int(run.cfg.get("count", 200), "count")
+    if count < 1:
+        raise ValidationError(f"fill-check needs a positive \"count\", got {count}")
     violations, gaps, uniform_gap = analysis.fill_spot_check(n, count, run.seed,
                                                              budget=run.budget)
     run.detail_header = ["instance", "gap", "uniform_gap", "ok"]

@@ -32,7 +32,8 @@ from decimal import Decimal
 from pathlib import Path
 
 from .errors import PropertyViolationError, ValidationError
-from .model import ClassPartition, ProbabilitySet, _parse_pair_key, parse_int, validate_kclass
+from .model import (ClassPartition, ProbabilitySet, _parse_pair_key, parse_int, parse_real,
+                    validate_kclass)
 from . import treerep
 
 
@@ -349,16 +350,20 @@ def square_table_bias(table: dict):
     with probability lambda/(1+lambda) and removing it with 1/(1+lambda).
     """
     try:
-        h, w = int(table["h"]), int(table["w"])
+        h, w = parse_int(table["h"], "h"), parse_int(table["w"], "w")
         raw = table["bias"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad square-bias table: {exc}") from exc
+    if h < 1 or w < 1:
+        raise ValidationError(f"square-bias table region {h}x{w} has no squares")
+    if not isinstance(raw, dict):
+        raise ValidationError(f"square-bias table: \"bias\" must be an object, got {raw!r}")
     lam: dict[tuple[int, int], float] = {}
     for key, val in raw.items():
         x, y = _parse_pair_key(key)
-        v = float(Decimal(val)) if isinstance(val, str) else float(val)
-        if v <= 0:
-            raise ValidationError(f"square ({x},{y}) bias {v} must be positive")
+        v = parse_real(val, f"square ({x},{y}) bias")
+        if not (math.isfinite(v) and v > 0):
+            raise ValidationError(f"square ({x},{y}) bias {v} must be finite and positive")
         lam[(x, y)] = v
     wanted = {(x, y) for x in range(1, w + 1) for y in range(1, h + 1)}
     if set(lam) != wanted:
@@ -403,7 +408,7 @@ def make_bias(spec: str):
         path = Path(spec.split(":", 1)[1])
         try:
             table = json.loads(path.read_text())
-        except OSError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read bias table {path}: {exc}") from exc
         return square_table_bias(table)
     raise ValidationError(f"unknown bias spec {spec!r}")

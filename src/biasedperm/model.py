@@ -426,6 +426,20 @@ def parse_int(value, what: str) -> int:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
 
 
+def parse_real(value, what: str) -> float:
+    """Parse a real-valued config field: a decimal string or a JSON number.
+
+    Booleans and other types are refused.  The result may be infinite or
+    NaN; callers check it against their own range.
+    """
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"{what} must be a decimal string or a number, got {value!r}")
+    try:
+        return float(Decimal(value)) if isinstance(value, str) else float(value)
+    except (InvalidOperation, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad {what} {value!r}") from exc
+
+
 def _parse_pair_key(key: str) -> tuple[int, int]:
     body = key.strip()
     if body.startswith("(") and body.endswith(")"):

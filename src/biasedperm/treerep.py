@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import ProbabilitySet, _parse_pair_key, parse_probability
+from .model import ProbabilitySet, _parse_pair_key, parse_real
 
 
 @dataclass
@@ -136,7 +136,7 @@ def _parse_node(obj):
         pair = _parse_pair_key(key)
         if pair not in wanted:
             raise ValidationError(f"node {name!r}: q key {key!r} is not a child pair")
-        v = parse_probability(val) if isinstance(val, str) else float(val)
+        v = parse_real(val, f"node {name!r}: q{pair}")
         if not 0.5 < v < 1.0:
             raise ValidationError(
                 f"node {name!r}: q{pair}={v} must lie strictly in (1/2, 1)"

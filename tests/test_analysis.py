@@ -19,6 +19,7 @@ from biasedperm.model import (
     ClassPartition,
     KClassParams,
     build_kclass,
+    check_weak_monotonicity,
     constant_bias_set,
     uniform_set,
 )
@@ -459,6 +460,77 @@ def _former_tv_curve(matrix, pi, tmax):
     return np.array(curve)
 
 
+def _former_mixing_time(matrix, pi, eps, tmax=None):
+    """mixing_time_exact as it was before its scan became one loop: the
+    crossing, horizon and hard-cap checks, then the monotone check and the
+    last crossing on the whole curve."""
+    if eps <= 0:
+        raise ValidationError("eps must be positive")
+    analysis.check_horizon(tmax)
+    hard_cap = tmax if tmax is not None else analysis._TV_HORIZON
+    with closing(analysis._tv_iter(matrix, pi)) as it:
+        curve = [next(it)[1]]
+        crossing = None if curve[0] > eps else 0
+        t = 0
+        while True:
+            if crossing is not None:
+                horizon = tmax if tmax is not None else max(2 * crossing, crossing + 16)
+                if t >= horizon:
+                    break
+            elif tmax is not None and t >= tmax:
+                break
+            if t >= hard_cap and crossing is None:
+                raise BudgetExceededError(
+                    f"TV distance still {curve[-1]} > {eps} at the horizon t={t}"
+                )
+            t, value = next(it)
+            curve.append(value)
+            if crossing is None and value <= eps:
+                crossing = t
+    for t in range(len(curve) - 1):
+        if curve[t + 1] > curve[t] + 1e-12:
+            raise PropertyViolationError(
+                f"TV curve is not monotone: tv({t})={curve[t]} < tv({t + 1})={curve[t + 1]}"
+            )
+    over = [t for t, v in enumerate(curve) if v > eps]
+    if over and over[-1] == len(curve) - 1:
+        raise BudgetExceededError(
+            f"TV distance still {curve[-1]} > {eps} at the horizon t={len(curve) - 1}"
+        )
+    return over[-1] + 1 if over else 0
+
+
+def _mtk_matrix():
+    """A seeded M_tk chain at n = 5: matrix and pi."""
+    prob_set, partition = seeded_kclass(5, 2, seed=[404, 2])
+    matrix = build_matrix(ClassTranspositionChain(prob_set, partition),
+                          enumerate_states("permutations", n=5))
+    return matrix, stationary_exact(matrix)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except (BudgetExceededError, PropertyViolationError) as exc:
+        return type(exc), str(exc)
+
+
+# (eps, tmax, horizon): the TV horizon is cut to 40 steps where the curve
+# is never to cross eps, so the scan meets it
+FORMER_LOOP_CASES = {
+    "no-tmax": (0.25, None, None),
+    "tmax": (0.25, 600, None),
+    "tmax-before-tau": (0.25, 30, None),
+    "first-value-crosses": (1.0, None, None),
+    "first-value-crosses-tmax": (1.0, 7, None),
+    "tmax-0": (0.25, 0, None),
+    "tmax-0-first-value-crosses": (1.0, 0, None),
+    "never-crosses": (1e-300, None, 40),
+    "never-crosses-tmax": (1e-300, 40, 40),
+}
+
+
 class TestMixing:
     def test_two_state_identical_rows(self):
         ps = constant_bias_set(2, 0.6)
@@ -506,7 +578,20 @@ class TestMixing:
 
     def test_non_monotone_curve_rejected(self):
         with pytest.raises(PropertyViolationError, match="monotone"):
-            analysis._check_monotone([0.5, 0.3, 0.4], 2)
+            analysis._tau([0.5, 0.3, 0.4], 0.1)
+
+    @pytest.mark.parametrize("case", sorted(FORMER_LOOP_CASES))
+    @pytest.mark.parametrize("chain", ["me-6", "me-8", "me-10", "mtk-5"])
+    def test_tau_is_the_former_loop(self, monkeypatch, chain, case):
+        eps, tmax, horizon = FORMER_LOOP_CASES[case]
+        if horizon is not None:
+            monkeypatch.setattr(analysis, "_TV_HORIZON", horizon)
+        kind, size = chain.split("-")
+        matrix, pi = _exclusion_matrix(int(size)) if kind == "me" else _mtk_matrix()
+        expected = _outcome(_former_mixing_time, matrix, pi, eps, tmax)
+        assert _outcome(mixing_time_exact, matrix, pi, eps, tmax) == expected
+        if case == "never-crosses":
+            assert expected[0] is BudgetExceededError
 
     @pytest.mark.parametrize("p", [0.6, 0.75, 0.9])
     @pytest.mark.parametrize("n1,n0", [(2, 2), (3, 3), (2, 5), (4, 4)])
@@ -769,15 +854,19 @@ class TestCanonicalPaths:
                     assert logw[s] >= floor
                 assert path.length <= 4 * 5
 
-    def test_prop3_mirror_produces_valid_paths(self):
-        ps, part = seeded_kclass(5, 2, seed=404)
-        space = enumerate_states("permutations", n=5)
-        records = collect_canonical_paths(space, ps, part, prop3_order=True)
+    def test_weight_floor_holds_on_a_prop3_only_set(self):
+        # weakly monotone by prop3 alone, and M_tk's acceptances stay <= 1
+        part = ClassPartition(4, (1, 2))
+        ps = build_kclass(KClassParams(part, {(1, 2): 0.8, (1, 3): 0.7, (2, 3): 0.7}))
+        report = check_weak_monotonicity(ps)
+        assert (report.prop1, report.prop2, report.prop3) == (True, False, True)
+        space = enumerate_states("permutations", n=4)
+        logw = {s: permcore.log_weight(s, ps) for s in space.states}
+        records = collect_canonical_paths(space, ps, part)
+        assert {rec.path.direction for rec in records} == {"L", "R", "N"}
         for rec in records:
-            assert rec.path.states[-1] == rec.path.y
-            for a, b in zip(rec.path.states[:-1], rec.path.states[1:]):
-                diff = [p for p in range(5) if a[p] != b[p]]
-                assert len(diff) == 2 and diff[1] == diff[0] + 1
+            floor = min(logw[rec.path.x], logw[rec.path.y]) - 1e-12
+            assert all(logw[s] >= floor for s in rec.path.states)
 
     def test_n_edges_connect_equal_weights(self):
         ps, part = seeded_kclass(5, 2, seed=7)

@@ -142,6 +142,12 @@ MALFORMED = {
                          "chain": "mnn", "experiment": "stationary"},
     "me-negative-n1": {"chain": "me", "bias": "constant:0.75", "n1": -1, "n0": 2,
                        "experiment": "balance"},
+    "league-q-null": {"model": {"type": "league", "tree": {
+        "node": "A", "children": [1, 2], "q": {"(1,2)": None}}},
+        "chain": "mtree", "experiment": "stationary"},
+    "mix-tmax-zero": {"model": UNIFORM3, "chain": "mnn", "experiment": "mix",
+                      "epsilon": "0.25", "tmax": 0},
+    "fill-check-count-zero": {"experiment": "fill-check", "count": 0},
 }
 
 

@@ -334,6 +334,30 @@ class TestMe:
         loaded = make_bias(f"square-dependent:{path}")
         assert loaded((1, 0, 0), 1) == bias((1, 0, 0), 1)
 
+    @pytest.mark.parametrize("table", [
+        {"h": 1, "w": 1, "bias": {"(1,1)": "NaN"}},
+        {"h": 1, "w": 1, "bias": {"(1,1)": "Infinity"}},
+        {"h": 1, "w": 1, "bias": {"(1,1)": float("nan")}},
+        {"h": 1, "w": 1, "bias": {"(1,1)": "x"}},
+        {"h": 1, "w": 1, "bias": {"(1,1)": None}},
+        {"h": 1, "w": 1, "bias": {"(1,1)": True}},
+        {"h": 1, "w": 1, "bias": [["(1,1)", "2.0"]]},
+        {"h": 1.9, "w": 1, "bias": {"(1,1)": "2.0"}},
+        {"h": 1, "w": True, "bias": {"(1,1)": "2.0"}},
+        {"h": 0, "w": 1, "bias": {}},
+    ], ids=["nan", "infinity", "nan-number", "not-decimal", "null", "bool", "list",
+            "h-fraction", "w-bool", "no-squares"])
+    def test_malformed_square_table_is_refused(self, table):
+        # a NaN bias once passed the positivity check and stalled the walk
+        with pytest.raises(ValidationError):
+            square_table_bias(table)
+
+    def test_square_table_file_that_is_not_json_is_refused(self, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text("{not json")
+        with pytest.raises(ValidationError, match="bias table"):
+            make_bias(f"square-dependent:{path}")
+
 
 class TestRowSumsAndReversibility:
     def small_kernels(self, example_tree):
