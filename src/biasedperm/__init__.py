@@ -51,13 +51,6 @@ from .kernels import (
     make_kernel,
     sample_step,
     square_table_bias,
-    transitions_me,
-    transitions_mi,
-    transitions_mk1,
-    transitions_mnn,
-    transitions_mpp,
-    transitions_mtk,
-    transitions_mtree,
     word_hash_bias,
 )
 from .exclusion import (

@@ -101,8 +101,8 @@ def enumerate_states(kind: str, *, n: int | None = None, multiplicities=None,
     refused up front.
     """
     if kind == "permutations":
-        if n is None:
-            raise ValidationError("permutations need n")
+        if n is None or n < 1:
+            raise ValidationError(f"permutations need n >= 1, got {n}")
         count = math.factorial(n)
         _check_budget(count, budget)
         states = tuple(_itperms(range(1, n + 1)))
@@ -895,8 +895,8 @@ def fit_loglog(sizes, values) -> ScalingFit:
     """Least-squares slope of log(value) against log(size)."""
     sizes = tuple(int(s) for s in sizes)
     values = tuple(float(v) for v in values)
-    if len(sizes) < 3:
-        raise ValidationError("a scaling fit needs at least 3 sizes")
+    if len(set(sizes)) < 3:
+        raise ValidationError(f"a scaling fit needs at least 3 distinct sizes, got {sizes}")
     if len(sizes) != len(values):
         raise ValidationError("sizes and values differ in length")
     xs = np.log(np.asarray(sizes, dtype=float))

@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernels import square_of
+from .kernels import _check_square_region, square_of
 
 RIGHT = "R"
 DOWN = "D"
@@ -208,6 +208,7 @@ def hitting_time_to_top(bias, n1: int, n0: int, trials: int, seed: int) -> Hitti
         raise ValidationError(f"hitting needs n1, n0 >= 0, got n1={n1}, n0={n0}")
     if trials < 1:
         raise ValidationError(f"hitting needs at least one trial, got {trials}")
+    _check_square_region(bias, n1, n0)
     known = getattr(bias, "known_min_ratio", None)
     if known is not None and known <= 1.0:
         warnings.warn(

@@ -1,6 +1,7 @@
 """Exact one-step transition enumeration for every chain in the toolkit.
 
-Each ``transitions_*`` function returns a dict mapping target state to
+Each chain is a :class:`ChainKernel`, and its ``transitions`` method is
+the one place its row is built: a dict mapping target state to
 probability, with the self-loop entry included so each row sums to exactly
 one.  Enumeration is the primitive; sampling (:func:`sample_step`) is
 derived from it, which keeps row-stochasticity directly testable.
@@ -11,8 +12,8 @@ items at i and i+1 differ, they are exchanged with a pair probability.
 M_nn reads it from the pairwise matrix, M_pp from the class-pair table and
 M_e from the bias callback.  The class chains (M_tk, M_k1, M_pp) resolve
 their class-pair table once, when the kernel is built; each row reads the
-classes by position from the state itself (words) or through the
-partition (permutations), as the kernel's ``space_kind`` says.  M_tree
+classes by position from the state itself (M_k1 and M_pp, on words) or
+through the partition (M_tk and M_i, on permutations).  M_tree
 likewise resolves each pair's lowest common ancestor once: its rows read a
 list of (pair, blocking leaf set, probability) built with the kernel.
 
@@ -93,17 +94,6 @@ def _swap_row(state: tuple, swap_prob) -> dict:
         out[i - 1], out[i] = out[i], out[i - 1]
         targets[tuple(out)] = base * swap_prob(i)
     return _finish_row(state, targets)
-
-
-def transitions_mnn(sigma, prob_set: ProbabilitySet) -> dict:
-    """Adjacent-transposition chain.
-
-    A position 1 <= i < n is chosen uniformly; the elements at i and i+1
-    are exchanged with the probability of placing the element at i+1
-    ahead of the element at i.
-    """
-    sigma = tuple(sigma)
-    return _swap_row(sigma, lambda i: prob_set.prob(sigma[i], sigma[i - 1]))
 
 
 class MtkMove:
@@ -202,111 +192,6 @@ def _move_row(state: tuple, moves) -> dict:
     return _finish_row(state, targets)
 
 
-def transitions_mtk(state, prob_set: ProbabilitySet, partition: ClassPartition) -> dict:
-    """Class-transposition chain: position and direction L/R/N uniform.
-
-    Every (position, direction) pair carries mass 1/(3n); unused mass is
-    the self-loop.  Accepts permutations or class-label words (same-class
-    exchanges on words fold into the self-loop).
-    """
-    state = tuple(state)
-    return _move_row(state, mtk_moves(state, prob_set, partition))
-
-
-def transitions_mk1(state, prob_set: ProbabilitySet, partition: ClassPartition) -> dict:
-    """Cross-class chain: exactly the L and R moves, each with mass 1/(3n).
-
-    The 1/(3n) per-move mass (not 1/(2n)) matches its role as the
-    cross-class part of the full transposition chain.
-    """
-    state = tuple(state)
-    return _move_row(state, mtk_moves(state, prob_set, partition, ("L", "R")))
-
-
-def transitions_mi(sigma, prob_set: ProbabilitySet, partition: ClassPartition,
-                   cls: int) -> dict:
-    """Within-class shuffle for one class.
-
-    A position holding a class-``cls`` element is chosen uniformly among
-    the class's positions; the element is exchanged with the nearest
-    class-mate to its left, with probability 1, if one exists.
-    """
-    sigma = tuple(sigma)
-    if not _is_permutation(sigma, partition.n):
-        raise ValidationError(f"{sigma} is not a permutation of 1..{partition.n}")
-    classes = [partition.class_of(x) for x in sigma]
-    positions = [i for i in range(1, partition.n + 1) if classes[i - 1] == cls]
-    if not positions:
-        raise ValidationError(f"class {cls} is empty")
-    base = 1.0 / len(positions)
-    targets: dict = {}
-    for f in positions:
-        for g in range(f - 1, 0, -1):
-            if classes[g - 1] == cls:
-                out = list(sigma)
-                out[f - 1], out[g - 1] = out[g - 1], out[f - 1]
-                tgt = tuple(out)
-                targets[tgt] = targets.get(tgt, 0.0) + base
-                break
-    return _finish_row(sigma, targets)
-
-
-def transitions_mpp(word, prob_set: ProbabilitySet, partition: ClassPartition) -> dict:
-    """Adjacent-transposition chain on class-label words.
-
-    Identical to the nearest-neighbor rule with same-label exchanges
-    rejected (they would not change the word anyway).
-    """
-    table = validate_kclass(prob_set, partition)
-    return _mpp_row(_classes(tuple(word), partition, True), table)
-
-
-def _mpp_row(word: tuple, table) -> dict:
-    """The row of ``transitions_mpp`` for a checked word and its class table."""
-    return _swap_row(word, lambda i: float(table[word[i], word[i - 1]]))
-
-
-def transitions_mtree(sigma, tree: treerep.LeagueTree) -> dict:
-    """Tree-pair chain (:class:`TreeSwapChain`).
-
-    An unordered pair {a, b} is chosen uniformly among the C(n, 2) pairs.
-    The move fires only if no element currently between a and b descends
-    from their lowest common ancestor; it then places a, b in order with
-    probability p[a][b] and out of order otherwise, leaving everything
-    between them fixed.  Placing an already-ordered pair "in order" leaves
-    the state unchanged; that mass folds into the self-loop.
-    """
-    return TreeSwapChain(tree).transitions(sigma)
-
-
-def transitions_me(word, bias) -> dict:
-    """Generalized exclusion chain on binary words.
-
-    A position 1 <= i < n is chosen uniformly; if the labels at i and i+1
-    differ they are exchanged with probability bias(word, i), which may
-    depend on the entire word.
-    """
-    word = tuple(word)
-    if any(x not in (0, 1) for x in word):
-        raise ValidationError(f"exclusion words are over {{0, 1}}, got {word}")
-    return _me_row(word, bias)
-
-
-def _me_row(word: tuple, bias) -> dict:
-    """The row of ``transitions_me`` for a word already known to be binary."""
-
-    def swap_prob(i: int) -> float:
-        p = float(bias(word, i))
-        if not 0.0 < p < 1.0:
-            raise ValidationError(
-                f"bias callback returned {p} at position {i} of {word}; "
-                "swap probabilities must lie strictly in (0, 1)"
-            )
-        return p
-
-    return _swap_row(word, swap_prob)
-
-
 # ---------------------------------------------------------------------------
 # bias callbacks for the exclusion chain
 
@@ -377,7 +262,17 @@ def square_table_bias(table: dict):
         return v / (1.0 + v) if word[i - 1] == 1 else 1.0 / (1.0 + v)
 
     bias.known_min_ratio = min(lam.values())
+    bias.region = (h, w)
     return bias
+
+
+def _check_square_region(bias, n1: int, n0: int):
+    """Refuse a square-bias table without the rows 1..n1 and columns 1..n0
+    that the swaps of words with n1 ones and n0 zeros reach (:func:`square_of`)."""
+    h, w = getattr(bias, "region", (n1, n0))
+    if h < n1 or w < n0:
+        raise ValidationError(f"square-bias table region {h}x{w} does not cover the "
+                              f"{n1}x{n0} region of words with n1={n1}, n0={n0}")
 
 
 def word_hash_bias(word, i):
@@ -446,16 +341,24 @@ class ChainKernel:
 
 
 class AdjacentTranspositionChain(ChainKernel):
+    """M_nn: the adjacent-swap rule, swapping the elements at i and i+1 with
+    the probability of placing the element at i+1 ahead of the one at i."""
+
     name = "mnn"
 
     def __init__(self, prob_set: ProbabilitySet):
         self.prob_set = prob_set
 
     def transitions(self, state):
-        return transitions_mnn(state, self.prob_set)
+        sigma = tuple(state)
+        prob = self.prob_set.prob
+        return _swap_row(sigma, lambda i: prob(sigma[i], sigma[i - 1]))
 
 
 class ClassTranspositionChain(ChainKernel):
+    """M_tk: every (position, direction L/R/N) pair carries mass 1/(3n) times
+    its move's acceptance (:func:`mtk_moves`); unused mass is the self-loop."""
+
     name = "mtk"
 
     def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
@@ -465,11 +368,14 @@ class ClassTranspositionChain(ChainKernel):
 
     def transitions(self, state):
         state = tuple(state)
-        classes = _classes(state, self.partition, self.space_kind == "words")
+        classes = _classes(state, self.partition, False)
         return _move_row(state, _class_moves(state, classes, self.table))
 
 
 class SameClassChain(ChainKernel):
+    """M_i: a class-``cls`` position is chosen uniformly and its element is
+    exchanged with its nearest class-mate to the left, if one exists."""
+
     def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition, cls: int):
         if not 1 <= cls <= partition.k:
             raise ValidationError(f"class {cls} outside 1..{partition.k}")
@@ -479,26 +385,41 @@ class SameClassChain(ChainKernel):
         self.name = f"mi:{cls}"
 
     def transitions(self, state):
-        return transitions_mi(state, self.prob_set, self.partition, self.cls)
+        sigma, cls = tuple(state), self.cls
+        classes = _classes(sigma, self.partition, False)
+        positions = [i for i in range(1, len(sigma) + 1) if classes[i - 1] == cls]
+        base = 1.0 / len(positions)
+        targets: dict = {}
+        # the nearest class-mate left of each class position is the one before it
+        for g, f in zip(positions, positions[1:]):
+            out = list(sigma)
+            out[f - 1], out[g - 1] = out[g - 1], out[f - 1]
+            targets[tuple(out)] = base
+        return _finish_row(sigma, targets)
 
 
 class CrossClassChain(ChainKernel):
-    name = "mk1"
+    """M_k1 on class-label words: the L and R moves of :func:`mtk_moves`, each
+    with mass 1/(3n) (not 1/(2n)), as the cross-class part of M_tk."""
 
-    def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition,
-                 on_words: bool = True):
+    name = "mk1"
+    space_kind = "words"
+
+    def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
         self.prob_set = prob_set
         self.partition = partition
-        self.space_kind = "words" if on_words else "permutations"
         self.table = validate_kclass(prob_set, partition)
 
     def transitions(self, state):
         state = tuple(state)
-        classes = _classes(state, self.partition, self.space_kind == "words")
+        classes = _classes(state, self.partition, True)
         return _move_row(state, _class_moves(state, classes, self.table, ("L", "R")))
 
 
 class ParticleProcessChain(ChainKernel):
+    """M_pp: the adjacent-swap rule on class-label words, with the
+    probabilities of the class-pair table."""
+
     name = "mpp"
     space_kind = "words"
 
@@ -508,10 +429,17 @@ class ParticleProcessChain(ChainKernel):
         self.table = validate_kclass(prob_set, partition)
 
     def transitions(self, state):
-        return _mpp_row(_classes(tuple(state), self.partition, True), self.table)
+        word = _classes(tuple(state), self.partition, True)
+        table = self.table
+        return _swap_row(word, lambda i: float(table[word[i], word[i - 1]]))
 
 
 class TreeSwapChain(ChainKernel):
+    """M_tree: a pair {a, b} is chosen uniformly among the C(n, 2) pairs; if no
+    element between them descends from their lowest common ancestor, a and b
+    are placed in order with probability p[a][b] and out of order otherwise.
+    Mass that leaves the state unchanged folds into the self-loop."""
+
     name = "mtree"
 
     def __init__(self, tree: treerep.LeagueTree):
@@ -546,6 +474,9 @@ class TreeSwapChain(ChainKernel):
 
 
 class GeneralizedExclusionChain(ChainKernel):
+    """M_e on words with n1 ones and n0 zeros: the adjacent-swap rule with
+    probability bias(word, i), which may depend on the entire word."""
+
     name = "me"
     space_kind = "binary"
 
@@ -555,19 +486,31 @@ class GeneralizedExclusionChain(ChainKernel):
         self.n0 = int(n0)
         if self.n1 < 0 or self.n0 < 0:
             raise ValidationError(f"me needs n1, n0 >= 0, got n1={n1}, n0={n0}")
+        _check_square_region(bias, self.n1, self.n0)
 
     def transitions(self, state):
         word = tuple(state)
         # n1 ones and n0 zeros in a word of length n1 + n0 leave room for
         # nothing else, so this one check validates the word
-        if (len(word) == self.n1 + self.n0 and word.count(1) == self.n1
+        if not (len(word) == self.n1 + self.n0 and word.count(1) == self.n1
                 and word.count(0) == self.n0):
-            return _me_row(word, self.bias)
-        if sum(word) != self.n1 or len(word) != self.n1 + self.n0:
-            raise ValidationError(
-                f"word {state} does not have {self.n1} ones and {self.n0} zeros"
-            )
-        return transitions_me(word, self.bias)  # raises: a label outside {0, 1}
+            if sum(word) != self.n1 or len(word) != self.n1 + self.n0:
+                raise ValidationError(
+                    f"word {state} does not have {self.n1} ones and {self.n0} zeros"
+                )
+            raise ValidationError(f"exclusion words are over {{0, 1}}, got {word}")
+        bias = self.bias
+
+        def swap_prob(i: int) -> float:
+            p = float(bias(word, i))
+            if not 0.0 < p < 1.0:
+                raise ValidationError(
+                    f"bias callback returned {p} at position {i} of {word}; "
+                    "swap probabilities must lie strictly in (0, 1)"
+                )
+            return p
+
+        return _swap_row(word, swap_prob)
 
 
 def make_kernel(name: str, *, prob_set=None, partition=None, tree=None,

@@ -164,9 +164,12 @@ class WeightVector:
         vals = []
         for s in items:
             try:
-                vals.append(Fraction(Decimal(str(s))))
-            except (InvalidOperation, ValueError) as exc:
+                d = Decimal(str(s))
+            except InvalidOperation as exc:
                 raise ValidationError(f"bad weight {s!r}: {exc}") from exc
+            if not d.is_finite():
+                raise ValidationError(f"weight {s!r} must be finite")
+            vals.append(Fraction(d))
         return cls(tuple(vals))
 
     @property

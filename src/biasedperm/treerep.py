@@ -108,7 +108,7 @@ def parse_tree(obj) -> LeagueTree:
 
 
 def _parse_node(obj):
-    if isinstance(obj, int):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return obj
     if not isinstance(obj, dict):
         raise ValidationError(f"tree node must be an object or a leaf integer, got {obj!r}")

@@ -148,6 +148,14 @@ MALFORMED = {
     "mix-tmax-zero": {"model": UNIFORM3, "chain": "mnn", "experiment": "mix",
                       "epsilon": "0.25", "tmax": 0},
     "fill-check-count-zero": {"experiment": "fill-check", "count": 0},
+    "fill-check-n-negative": {"experiment": "fill-check", "n": -1},
+    "weights-w-infinite": {"model": {"type": "weights", "w": ["Infinity", "1"]},
+                           "chain": "mnn", "experiment": "stationary"},
+    "league-leaf-bool": {"model": {"type": "league", "tree": {
+        "node": "A", "children": [True, 2], "q": {"(1,2)": "0.7"}}},
+        "chain": "mtree", "experiment": "stationary"},
+    "scaling-sizes-repeated": {"chain": "mnn", "family": "uniform",
+                               "experiment": "scaling", "sizes": [3, 3, 3]},
 }
 
 
@@ -159,6 +167,22 @@ def test_malformed_value_exits_1_with_a_message(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment,extra", [("hitting", {"trials": 3}),
+                                              ("balance", {})], ids=["hitting", "balance"])
+def test_square_table_smaller_than_the_words_exits_1(tmp_path, capsys, experiment,
+                                                     extra):
+    # a 1x1 table once ended in a KeyError from the bias at n1 = n0 = 2
+    table = write_config(tmp_path, {"h": 1, "w": 1, "bias": {"(1,1)": "2.0"}},
+                         name="table.json")
+    cfg = write_config(tmp_path, dict(
+        extra, experiment=experiment, chain="me", bias=f"square-dependent:{table}",
+        n1=2, n0=2, out=str(tmp_path / "out")))
+    assert cli.run(cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "does not cover" in err
+    assert not (tmp_path / "out").exists()
 
 
 SRC = Path(cli.__file__).resolve().parents[1]

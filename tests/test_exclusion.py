@@ -6,7 +6,8 @@ import pytest
 
 from biasedperm import exclusion
 from biasedperm.errors import BudgetExceededError, ValidationError
-from biasedperm.kernels import constant_bias, square_table_bias, transitions_me, word_hash_bias
+from biasedperm.kernels import (GeneralizedExclusionChain, constant_bias, square_table_bias,
+                                word_hash_bias)
 from biasedperm.exclusion import (
     StaircaseWalk,
     all_words,
@@ -50,9 +51,9 @@ class TestArea:
         assert area(top_word(3, 4)) == 12
 
     def test_each_move_changes_area_by_one(self):
-        bias = constant_bias(0.6)
+        kernel = GeneralizedExclusionChain(constant_bias(0.6), 3, 3)
         for word in all_words(3, 3):
-            for target in transitions_me(word, bias):
+            for target in kernel.transitions(word):
                 if target != word:
                     assert abs(area(target) - area(word)) == 1
 
@@ -60,7 +61,6 @@ class TestArea:
         # cross-check: the exact stationary vector of the constant-bias chain
         # is proportional to ratio^area, and matches the 2-class word formula
         from biasedperm.analysis import build_matrix, enumerate_states, stationary_exact, stationary_formula
-        from biasedperm.kernels import GeneralizedExclusionChain
         from biasedperm.model import ClassPartition, KClassParams, build_kclass
 
         p = 0.7

@@ -30,13 +30,6 @@ from biasedperm.kernels import (
     mtk_moves,
     sample_step,
     square_table_bias,
-    transitions_me,
-    transitions_mi,
-    transitions_mk1,
-    transitions_mnn,
-    transitions_mpp,
-    transitions_mtk,
-    transitions_mtree,
     word_hash_bias,
 )
 
@@ -51,20 +44,20 @@ def assert_row_stochastic(row):
 class TestMnn:
     def test_two_states(self):
         ps = constant_bias_set(2, 0.6)
-        row = transitions_mnn((2, 1), ps)
+        row = AdjacentTranspositionChain(ps).transitions((2, 1))
         assert row[(1, 2)] == pytest.approx(0.6)
         assert row[(2, 1)] == pytest.approx(0.4)
 
     def test_uniform_swap_mass(self):
         ps = uniform_set(4)
-        row = transitions_mnn((1, 2, 3, 4), ps)
+        row = AdjacentTranspositionChain(ps).transitions((1, 2, 3, 4))
         non_loop = {k: v for k, v in row.items() if k != (1, 2, 3, 4)}
         assert all(v == pytest.approx(1 / 6) for v in non_loop.values())
         assert len(non_loop) == 3
 
     def test_hand_enumeration(self):
         ps = constant_bias_set(3, 0.6)
-        row = transitions_mnn((1, 2, 3), ps)
+        row = AdjacentTranspositionChain(ps).transitions((1, 2, 3))
         assert row[(2, 1, 3)] == pytest.approx(0.2)
         assert row[(1, 3, 2)] == pytest.approx(0.2)
         assert row[(1, 2, 3)] == pytest.approx(0.6)
@@ -84,7 +77,7 @@ class TestMtk:
         assert (1, 7, "N") in moves        # the two class-3 elements
         assert (1, 3, "R") in moves        # class 3 with class 4 across class 1
         assert not any((i, j) == (3, 6) for i, j, _ in moves)  # blocked by class 5
-        row = transitions_mtk(sigma, ps, part)
+        row = ClassTranspositionChain(ps, part).transitions(sigma)
         assert_row_stochastic(row)
         target = permcore.transpose(sigma, 1, 3)
         lam = (1 - 0.7) / 0.7
@@ -93,14 +86,14 @@ class TestMtk:
     def test_two_elements_one_class(self):
         ps = uniform_set(2)
         part = ClassPartition(2, ())
-        row = transitions_mtk((1, 2), ps, part)
+        row = ClassTranspositionChain(ps, part).transitions((1, 2))
         assert row[(2, 1)] == pytest.approx(1 / 6)
         assert row[(1, 2)] == pytest.approx(5 / 6)
 
     def test_singleton_classes_right_move(self):
         ps = constant_bias_set(3, 0.7)
         part = ClassPartition(3, (1, 2))
-        row = transitions_mtk((1, 2, 3), ps, part)
+        row = ClassTranspositionChain(ps, part).transitions((1, 2, 3))
         lam = 0.3 / 0.7
         assert row[(2, 1, 3)] == pytest.approx(lam / 9)
 
@@ -112,7 +105,7 @@ class TestMtk:
         ps = build_kclass(KClassParams(part, q))
         assert not check_weak_monotonicity(ps).prop2
         with pytest.raises(PropertyViolationError, match="acceptance"):
-            transitions_mtk((2, 1, 3), ps, part)
+            ClassTranspositionChain(ps, part).transitions((2, 1, 3))
 
     def test_acceptance_within_one_for_monotone_sets(self):
         for seed in range(4):
@@ -123,9 +116,10 @@ class TestMtk:
 
     def test_mnn_support_subset_of_mtk(self):
         ps, part = seeded_kclass(5, 2, seed=55)
+        mnn, mtk = AdjacentTranspositionChain(ps), ClassTranspositionChain(ps, part)
         for sigma in permutations(range(1, 6)):
-            nn = transitions_mnn(sigma, ps)
-            tk = transitions_mtk(sigma, ps, part)
+            nn = mnn.transitions(sigma)
+            tk = mtk.transitions(sigma)
             for target, mass in nn.items():
                 if target != sigma and mass > 0:
                     assert tk.get(target, 0.0) > 0.0
@@ -146,7 +140,7 @@ class TestMtk:
             assert cross == split["LR"]
             within = set()
             for c in range(1, part.k + 1):
-                row = transitions_mi(sigma, ps, part, c)
+                row = SameClassChain(ps, part, c).transitions(sigma)
                 for target in row:
                     if target != sigma:
                         diff = [p for p in range(1, n + 1)
@@ -156,18 +150,21 @@ class TestMtk:
 
     def test_mk1_equals_mtk_restricted(self):
         ps, part = seeded_kclass(4, 2, seed=13)
-        for sigma in permutations(range(1, 5)):
-            full = mtk_moves(sigma, ps, part)
+        mk1 = CrossClassChain(ps, part)
+        for word in enumerate_states("words", multiplicities=part.sizes).states:
+            full = mtk_moves(word, ps, part)
             lr_only = {(mv.i, mv.j): mv.acceptance for mv in full
                        if mv.direction != "N"}
-            k1 = transitions_mk1(sigma, ps, part)
+            k1 = mk1.transitions(word)
             expected = {}
             for (i, j), acc in lr_only.items():
-                tgt = permcore.transpose(sigma, i, j)
+                out = list(word)
+                out[i - 1], out[j - 1] = out[j - 1], out[i - 1]
+                tgt = tuple(out)
                 expected[tgt] = expected.get(tgt, 0.0) + acc / 12
             for tgt, mass in expected.items():
                 assert k1[tgt] == pytest.approx(mass)
-            assert set(k1) - {sigma} == set(expected)
+            assert set(k1) - {word} == set(expected)
 
 
 class TestMi:
@@ -175,13 +172,13 @@ class TestMi:
         ps, part = seeded_kclass(4, 2, seed=21)
         c = part.sizes.index(min(part.sizes)) + 1
         if part.sizes[c - 1] == 1:
-            row = transitions_mi((1, 2, 3, 4), ps, part, c)
+            row = SameClassChain(ps, part, c).transitions((1, 2, 3, 4))
             assert row == {(1, 2, 3, 4): 1.0}
 
     def test_adjacent_classmates(self):
         part = ClassPartition.from_sizes((2, 1))
         ps = build_kclass(KClassParams(part, {(1, 2): 0.8}))
-        row = transitions_mi((1, 2, 3), ps, part, 1)
+        row = SameClassChain(ps, part, 1).transitions((1, 2, 3))
         assert row[(2, 1, 3)] == pytest.approx(0.5)
         assert row[(1, 2, 3)] == pytest.approx(0.5)
 
@@ -191,33 +188,33 @@ class TestMi:
         part = ClassPartition.from_sizes((2, 1))
         ps = build_kclass(KClassParams(part, {(1, 2): 0.8}))
         sigma = (1, 3, 2)
-        row = transitions_mi(sigma, ps, part, 1)
+        row = SameClassChain(ps, part, 1).transitions(sigma)
         assert row[(2, 3, 1)] == pytest.approx(0.5)
 
     def test_empty_class_rejected(self):
         ps = uniform_set(3)
         part = ClassPartition(3, ())
         with pytest.raises(ValidationError):
-            transitions_mi((1, 2, 3), ps, part, 2)
+            SameClassChain(ps, part, 2).transitions((1, 2, 3))
 
 
 class TestMpp:
     def test_all_same_label_pure_loop(self):
         part = ClassPartition.from_sizes((2,))
         ps = uniform_set(2)
-        assert transitions_mpp((1, 1), ps, part) == {(1, 1): 1.0}
+        assert ParticleProcessChain(ps, part).transitions((1, 1)) == {(1, 1): 1.0}
 
     def test_two_labels(self):
         part = ClassPartition.from_sizes((1, 1))
         ps = build_kclass(KClassParams(part, {(1, 2): 0.8}))
-        row = transitions_mpp((1, 2), ps, part)
+        row = ParticleProcessChain(ps, part).transitions((1, 2))
         assert row[(2, 1)] == pytest.approx(0.2)
         assert row[(1, 2)] == pytest.approx(0.8)
 
     def test_hand_enumeration_121(self):
         part = ClassPartition.from_sizes((2, 1))
         ps = build_kclass(KClassParams(part, {(1, 2): 0.8}))
-        row = transitions_mpp((1, 2, 1), ps, part)
+        row = ParticleProcessChain(ps, part).transitions((1, 2, 1))
         assert row[(2, 1, 1)] == pytest.approx(0.5 * 0.2)
         assert row[(1, 1, 2)] == pytest.approx(0.5 * 0.8)
         assert_row_stochastic(row)
@@ -227,11 +224,12 @@ class TestMpp:
         part = ClassPartition.from_sizes((2, 2))
         q = 0.75
         ps = build_kclass(KClassParams(part, {(1, 2): q}))
-        bias = constant_bias(q)
+        mpp = ParticleProcessChain(ps, part)
+        me = GeneralizedExclusionChain(constant_bias(q), 2, 2)
         for word in [(1, 2, 1, 2), (2, 1, 2, 1), (1, 1, 2, 2), (2, 2, 1, 1)]:
-            mpp_row = transitions_mpp(word, ps, part)
+            mpp_row = mpp.transitions(word)
             binary = tuple(0 if x == 1 else 1 for x in word)
-            me_row = transitions_me(binary, bias)
+            me_row = me.transitions(binary)
             relabeled = {tuple(0 if x == 1 else 1 for x in k): v
                          for k, v in mpp_row.items()}
             assert set(relabeled) == set(me_row)
@@ -243,13 +241,13 @@ class TestMtree:
     def test_two_leaves(self):
         tree = treerep.parse_tree({"node": "R", "children": [1, 2],
                                    "q": {"(1,2)": "0.7"}})
-        row = transitions_mtree((1, 2), tree)
+        row = TreeSwapChain(tree).transitions((1, 2))
         assert row[(2, 1)] == pytest.approx(0.3)
         assert row[(1, 2)] == pytest.approx(0.7)
 
     def test_example_tree_pair_legality(self, example_tree):
         sigma = (6, 1, 4, 3, 2, 7, 5)
-        row = transitions_mtree(sigma, example_tree)
+        row = TreeSwapChain(example_tree).transitions(sigma)
         # {5,6}: nothing between them descends from their common ancestor
         assert (5, 1, 4, 3, 2, 7, 6) in row
         # {1,2}: element 3 sits between them and shares the ancestor B
@@ -257,7 +255,7 @@ class TestMtree:
 
     def test_no_op_mass_folds_into_loop(self, example_tree):
         sigma = tuple(range(1, 8))
-        row = transitions_mtree(sigma, example_tree)
+        row = TreeSwapChain(example_tree).transitions(sigma)
         assert_row_stochastic(row)
         # identity permutation: every legal pair is already in order, so the
         # self-loop carries all the "place in order" mass
@@ -266,12 +264,12 @@ class TestMtree:
 
 class TestMe:
     def test_single_pair(self):
-        row = transitions_me((1, 0), constant_bias(0.75))
+        row = GeneralizedExclusionChain(constant_bias(0.75), 1, 1).transitions((1, 0))
         assert row[(0, 1)] == pytest.approx(0.75)
         assert row[(1, 0)] == pytest.approx(0.25)
 
     def test_single_active_position(self):
-        row = transitions_me((1, 1, 0, 0), constant_bias(0.75))
+        row = GeneralizedExclusionChain(constant_bias(0.75), 2, 2).transitions((1, 1, 0, 0))
         assert set(row) == {(1, 0, 1, 0), (1, 1, 0, 0)}
         assert row[(1, 0, 1, 0)] == pytest.approx(0.75 / 3)
 
@@ -279,8 +277,9 @@ class TestMe:
         def bias(word, i):
             return 0.9 if word == (1, 0, 1, 0) else 0.6
 
-        row_a = transitions_me((1, 0, 1, 0), bias)
-        row_b = transitions_me((0, 1, 1, 0), bias)
+        kernel = GeneralizedExclusionChain(bias, 2, 2)
+        row_a = kernel.transitions((1, 0, 1, 0))
+        row_b = kernel.transitions((0, 1, 1, 0))
         assert row_a[(1, 0, 0, 1)] == pytest.approx(0.9 / 3)
         assert row_b[(0, 1, 0, 1)] == pytest.approx(0.6 / 3)
 
@@ -292,7 +291,7 @@ class TestMe:
 
     def test_bias_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            transitions_me((1, 0), lambda w, i: 1.0)
+            GeneralizedExclusionChain(lambda w, i: 1.0, 1, 1).transitions((1, 0))
 
     @pytest.mark.parametrize("state", [
         (1, 1, 0), (1, 1, 0, 0, 0), (2, 1, 0, 0), [2, 1, 0, 0], (1, 1, 1, 0),
@@ -300,14 +299,17 @@ class TestMe:
         (True, 1, 0, False),
     ])
     def test_chain_validation_matches_the_two_step_check(self, state):
-        # reference: the ones count and the length first, then
-        # transitions_me's scan for labels outside {0, 1}
+        # reference: the ones count and the length first, then the former
+        # module-level row builder's scan for labels outside {0, 1}
         kernel = GeneralizedExclusionChain(constant_bias(0.7), 2, 2)
 
         def former(state):
             if sum(state) != 2 or len(state) != 4:
                 raise ValidationError(f"word {state} does not have 2 ones and 2 zeros")
-            return transitions_me(state, kernel.bias)
+            word = tuple(state)
+            if any(x not in (0, 1) for x in word):
+                raise ValidationError(f"exclusion words are over {{0, 1}}, got {word}")
+            return _ref_me_row(word, kernel.bias)
 
         try:
             expected = former(state)
@@ -488,6 +490,27 @@ def _ref_mnn(sigma, prob_set):
     return _ref_finish_row(sigma, targets)
 
 
+def _ref_mi(sigma, partition, cls):
+    sigma = tuple(sigma)
+    if len(sigma) != partition.n or set(sigma) != set(range(1, partition.n + 1)):
+        raise ValidationError(f"{sigma} is not a permutation of 1..{partition.n}")
+    classes = [partition.class_of(x) for x in sigma]
+    positions = [i for i in range(1, partition.n + 1) if classes[i - 1] == cls]
+    if not positions:
+        raise ValidationError(f"class {cls} is empty")
+    base = 1.0 / len(positions)
+    targets = {}
+    for f in positions:
+        for g in range(f - 1, 0, -1):
+            if classes[g - 1] == cls:
+                out = list(sigma)
+                out[f - 1], out[g - 1] = out[g - 1], out[f - 1]
+                tgt = tuple(out)
+                targets[tgt] = targets.get(tgt, 0.0) + base
+                break
+    return _ref_finish_row(sigma, targets)
+
+
 def _ref_mpp(word, prob_set, partition):
     word = tuple(word)
     n = len(word)
@@ -649,30 +672,23 @@ def _words_222_model(seed):
 
 
 class TestReferenceRows:
-    """Every row equals the former builders' row, values and order."""
+    """Every kernel row equals the former builders' row, values and order."""
 
     @staticmethod
-    def assert_rows_equal(kernel, public, reference, states):
+    def assert_rows_equal(kernel, reference, states):
         for state in states:
             expected = list(reference(state).items())
             assert list(kernel.transitions(state).items()) == expected
-            assert list(public(state).items()) == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mnn_and_mtk_on_permutations(self, seed):
         ps, part = seeded_kclass(6, 3, seed=[606, seed])
         perms = enumerate_states("permutations", n=6).states
         self.assert_rows_equal(AdjacentTranspositionChain(ps),
-                               lambda s: transitions_mnn(s, ps),
                                lambda s: _ref_mnn(s, ps), perms)
         self.assert_rows_equal(
             ClassTranspositionChain(ps, part),
-            lambda s: transitions_mtk(s, ps, part),
             lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R", "N")), perms)
-        self.assert_rows_equal(
-            CrossClassChain(ps, part, on_words=False),
-            lambda s: transitions_mk1(s, ps, part),
-            lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R")), perms)
         for sigma in perms:
             for directions in (("L", "R", "N"), ("L", "R")):
                 moves = [(mv.i, mv.j, mv.direction, mv.acceptance)
@@ -680,17 +696,22 @@ class TestReferenceRows:
                 assert moves == _ref_mtk_moves(sigma, ps, part, directions)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mi_on_permutations(self, seed):
+        ps, part = seeded_kclass(6, 3, seed=[606, seed])
+        perms = enumerate_states("permutations", n=6).states
+        for cls in range(1, part.k + 1):
+            self.assert_rows_equal(SameClassChain(ps, part, cls),
+                                   lambda s: _ref_mi(s, part, cls), perms)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mk1_and_mpp_on_words(self, seed):
         ps, part = _words_222_model([707, seed])
         words = enumerate_states("words", multiplicities=(2, 2, 2)).states
         self.assert_rows_equal(
             CrossClassChain(ps, part),
-            lambda s: transitions_mk1(s, ps, part),
             lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R")), words)
-        self.assert_rows_equal(
-            ParticleProcessChain(ps, part),
-            lambda s: transitions_mpp(s, ps, part),
-            lambda s: _ref_mpp(s, ps, part), words)
+        self.assert_rows_equal(ParticleProcessChain(ps, part),
+                               lambda s: _ref_mpp(s, ps, part), words)
         for word in words:
             moves = [(mv.i, mv.j, mv.direction, mv.acceptance)
                      for mv in mtk_moves(word, ps, part)]
@@ -701,13 +722,12 @@ class TestReferenceRows:
         tree = random_league_tree(6, np.random.default_rng([808, seed]), max_degree=3)
         ps = treerep.induced_probabilities(tree)
         perms = enumerate_states("permutations", n=6).states
-        self.assert_rows_equal(TreeSwapChain(tree), lambda s: transitions_mtree(s, tree),
-                               lambda s: _ref_mtree(s, tree, ps), perms)
+        self.assert_rows_equal(TreeSwapChain(tree), lambda s: _ref_mtree(s, tree, ps),
+                               perms)
 
     @pytest.mark.parametrize("spec", ["constant:0.75", "word-hash"])
     def test_me_at_total_10(self, spec):
         bias = make_bias(spec)
         words = enumerate_states("binary", n1=5, n0=5).states
         self.assert_rows_equal(GeneralizedExclusionChain(bias, 5, 5),
-                               lambda s: transitions_me(s, bias),
                                lambda s: _ref_me_row(s, bias), words)

@@ -5,7 +5,7 @@ import pytest
 
 from biasedperm.errors import ValidationError
 from biasedperm import treerep
-from biasedperm.kernels import transitions_mtree
+from biasedperm.kernels import TreeSwapChain
 
 from conftest import EXAMPLE_TREE, random_league_tree
 
@@ -181,9 +181,10 @@ class TestLocality:
         for trial in range(3):
             n = 5
             tree = random_league_tree(n, rng, max_degree=3)
+            kernel = TreeSwapChain(tree)
             for sigma in permutations(range(1, n + 1)):
                 before = treerep.permutation_to_tree_strings(sigma, tree)
-                for target in transitions_mtree(sigma, tree):
+                for target in kernel.transitions(sigma):
                     if target == sigma:
                         continue
                     moved = [x for x in range(1, n + 1)
