@@ -9,6 +9,7 @@ a comparison constant that transfers mixing bounds between the chains.
 from biasedperm import (
     AdjacentTranspositionChain,
     ClassPartition,
+    ClassTranspositionChain,
     KClassParams,
     build_kclass,
     build_matrix,
@@ -27,13 +28,14 @@ from biasedperm import (
 partition = ClassPartition.from_sizes((2, 1, 2))
 prob_set = build_kclass(KClassParams(
     partition, {(1, 2): 0.7, (1, 3): 0.8, (2, 3): 0.75}))
+mtk = ClassTranspositionChain(prob_set, partition)
 
 # a same-class exchange across the whole word: the two class-1 elements sit
 # at the ends with larger-class elements between them
 x = (1, 3, 4, 5, 2)
 print("word of x:", project(x, partition))
 y = transpose(x, 1, 5)
-path = canonical_path(x, y, "N", prob_set, partition)
+path = canonical_path(mtk, x, y, "N")
 print(f"canonical path for the class-1 exchange, {path.length} swaps:")
 floor = min(log_weight(x, prob_set), log_weight(y, prob_set))
 for state in path.states:
@@ -42,7 +44,7 @@ for state in path.states:
 
 # congestion over every edge of the richer chain at n = 5
 space = enumerate_states("permutations", n=5)
-records = collect_canonical_paths(space, prob_set, partition)
+records = collect_canonical_paths(mtk, space)
 nn = build_matrix(AdjacentTranspositionChain(prob_set), space)
 pi = stationary_exact(nn)
 report = congestion(nn, records, pi, space)

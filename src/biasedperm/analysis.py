@@ -37,8 +37,8 @@ from scipy.sparse.csgraph import connected_components
 from . import permcore
 from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import all_words, area, bottom_word, top_word
-from .kernels import (AdjacentTranspositionChain, ChainKernel, GeneralizedExclusionChain,
-                      _class_moves, _classes)
+from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
+                      GeneralizedExclusionChain)
 from .model import (ClassPartition, ProbabilitySet, random_monotone_set, uniform_set,
                     validate_kclass)
 
@@ -700,7 +700,8 @@ def _lr_path(x, i: int, j: int) -> _PathBuilder:
 
 
 def _n_path(x, i: int, j: int, classes) -> _PathBuilder:
-    """Two-phase same-class exchange that never dips below the edge weight.
+    """Two-phase same-class exchange, kept at or above the edge weight on
+    prop2 sets.
 
     Phase I walks the right element (b) leftward; before b crosses a
     maximal block of smaller-class elements, the nearest larger-or-equal
@@ -743,30 +744,36 @@ def _n_path(x, i: int, j: int, classes) -> _PathBuilder:
     return b
 
 
-def canonical_path(x, y, direction: str, prob_set: ProbabilitySet,
-                   partition: ClassPartition) -> CanonicalPath:
-    """Build the canonical adjacent-transposition path for one edge.
+def _mtk(kernel) -> ClassTranspositionChain:
+    if not isinstance(kernel, ClassTranspositionChain):
+        raise ValidationError(
+            f"canonical paths are built for the M_tk kernel, not {type(kernel).__name__}")
+    return kernel
 
-    (x, y) must be a positive-probability move of the transposition chain
-    with the claimed direction.  L and R edges slide one element across
-    the (strictly smaller-class) gap and back (``_lr_path``); N edges use
-    the two-phase construction (``_n_path``).  On the weakly monotone sets
-    of Bhakta-Miracle-Randall-Streib (prop1 and prop2, or prop1 and prop3)
-    the path is to stay at or above the lighter endpoint's weight; the
-    tests and the CLI's ``paths`` experiment check that it does.
+
+def canonical_path(kernel: ClassTranspositionChain, x, y, direction: str) -> CanonicalPath:
+    """Build the canonical adjacent-transposition path for one M_tk edge.
+
+    (x, y) must be one of the kernel's moves (:meth:`ClassTranspositionChain.moves`)
+    from x, with the claimed direction.  L and R edges slide one element
+    across the (strictly smaller-class) gap and back (``_lr_path``); N edges
+    use the two-phase construction (``_n_path``).  On sets weakly monotone
+    by prop1 and prop2 (Bhakta-Miracle-Randall-Streib) the path stays at or
+    above the lighter endpoint's weight; on some sets weakly monotone by
+    prop3 alone, N paths dip below it.  The tests and the CLI's ``paths``
+    experiment check the floor.
     """
     x, y = tuple(x), tuple(y)
     diff = [p for p in range(1, len(x) + 1) if x[p - 1] != y[p - 1]]
     if len(diff) != 2 or permcore.transpose(x, *diff) != y:
         raise ValidationError(f"{x} -> {y} is not a single transposition")
     i, j = diff
-    classes = _classes(x, partition, False)
     if not any((mv.i, mv.j) == (i, j) and mv.direction == direction
-               for mv in _class_moves(x, classes, validate_kclass(prob_set, partition))):
+               for mv in _mtk(kernel).moves(x)):
         raise ValidationError(
             f"{x} -> {y} is not a direction-{direction} move of the transposition chain"
         )
-    return _edge_path(x, i, j, direction, classes)
+    return _edge_path(x, i, j, direction, kernel.classes(x))
 
 
 def _edge_path(x: tuple, i: int, j: int, direction: str, classes: tuple) -> CanonicalPath:
@@ -782,24 +789,21 @@ def _edge_path(x: tuple, i: int, j: int, direction: str, classes: tuple) -> Cano
                          swap_positions=tuple(builder.positions))
 
 
-def collect_canonical_paths(space: StateSpace, prob_set: ProbabilitySet,
-                            partition: ClassPartition) -> list[PathRecord]:
-    """Canonical paths for every transposition-chain (M_tk) edge over a space.
+def collect_canonical_paths(kernel: ClassTranspositionChain,
+                            space: StateSpace) -> list[PathRecord]:
+    """Canonical paths for every edge of an M_tk kernel over its space.
 
-    Each edge x -> y gets the path ``canonical_path`` builds and the edge's
-    probability under M_tk, 1/(3n) times its acceptance.
+    Each edge x -> y gets the path ``canonical_path`` builds and the mass
+    of the kernel's move.
     """
-    if space.kind != "permutations":
-        raise ValidationError("canonical paths are defined over permutation spaces")
-    table = validate_kclass(prob_set, partition)
-    base = 1.0 / (3 * partition.n)
+    _mtk(kernel)
     records = []
     for xi, x in enumerate(space.states):
-        classes = _classes(x, partition, False)
-        for mv in _class_moves(x, classes, table):
+        classes = kernel.classes(x)
+        for mv in kernel.moves(x):
             path = _edge_path(x, mv.i, mv.j, mv.direction, classes)
             records.append(PathRecord(x_index=xi, y_index=space.index[path.y],
-                                      prob=base * mv.acceptance, path=path))
+                                      prob=mv.prob, path=path))
     return records
 
 
@@ -899,6 +903,8 @@ def fit_loglog(sizes, values) -> ScalingFit:
         raise ValidationError(f"a scaling fit needs at least 3 distinct sizes, got {sizes}")
     if len(sizes) != len(values):
         raise ValidationError("sizes and values differ in length")
+    if not all(math.isfinite(v) and v > 0 for v in values):
+        raise ValidationError(f"a log-log fit needs finite positive values, got {values}")
     xs = np.log(np.asarray(sizes, dtype=float))
     ys = np.log(np.asarray(values, dtype=float))
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -912,12 +918,14 @@ def gap_scaling(family, sizes, budget: int = DEFAULT_BUDGET) -> ScalingFit:
     """Log-log slope of the relaxation time 1/gap across sizes.
 
     ``family`` maps a size to a kernel; the kernel's natural space is
-    enumerated within the budget.
+    enumerated within the budget, and must have more than one state.
     """
     values = []
     for size in sizes:
         kernel = family(size)
         space = space_for_kernel(kernel, budget=budget)
+        if len(space) == 1:  # gap 1 by spectral_gap's convention, not a relaxation time
+            raise ValidationError(f"scaling size {size} has a one-state space")
         matrix = build_csr(kernel, space)
         pi = stationary_exact(matrix)
         values.append(1.0 / spectral_gap(matrix, pi))

@@ -282,7 +282,7 @@ def _mtk_kernel(run: _Run):
 def _exp_paths(run: _Run):
     kernel = _mtk_kernel(run)
     space = analysis.space_for_kernel(kernel, budget=run.budget)
-    records = analysis.collect_canonical_paths(space, kernel.prob_set, kernel.partition)
+    records = analysis.collect_canonical_paths(kernel, space)
     logw = np.array([permcore.log_weight(s, kernel.prob_set) for s in space.states])
     stats = {}
     floor_margin = np.inf
@@ -316,7 +316,7 @@ def _exp_congestion(run: _Run):
     kernel = _mtk_kernel(run)
     # the nearest-neighbour chain runs over the same permutations as mtk
     space, nn_matrix, pi = run.solve(kernels.AdjacentTranspositionChain(kernel.prob_set))
-    records = analysis.collect_canonical_paths(space, kernel.prob_set, kernel.partition)
+    records = analysis.collect_canonical_paths(kernel, space)
     report = analysis.congestion(nn_matrix, records, pi, space)
     n = len(space.states[0])
     p = kernel.prob_set.p
@@ -408,7 +408,9 @@ def _exp_scaling(run: _Run):
     partial_error = None
     for size in sorted(sizes):
         try:
-            _, matrix, pi = run.solve(family(size))
+            space, matrix, pi = run.solve(family(size))
+            if len(space) == 1:  # no second eigenvalue, nothing to mix
+                raise ValidationError(f"scaling size {size} has a one-state space")
             if metric == "relaxation":
                 value = 1.0 / analysis.spectral_gap(matrix, pi)
                 run.results.append(_result_row("scaling", n=size,

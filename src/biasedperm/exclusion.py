@@ -20,7 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernels import _check_square_region, square_of
+from .kernels import (GeneralizedExclusionChain, _check_square_region, sample_step,
+                      square_of)
 
 RIGHT = "R"
 DOWN = "D"
@@ -135,8 +136,9 @@ def measure_boundedness(bias, n1: int, n0: int, *, budget: int = 50_000,
 
     Exact when the word space fits the budget.  Otherwise, if
     ``sample_steps`` is given, the minimum is taken over the words visited
-    by a seeded chain trajectory and flagged as a lower-confidence
-    estimate; without the fallback the budget overrun is an error.
+    by a seeded walk of :class:`GeneralizedExclusionChain` from the bottom
+    word and flagged as a lower-confidence estimate; without the fallback
+    the budget overrun is an error.
     """
     count = math.comb(n1 + n0, n1)
     if count <= budget:
@@ -146,17 +148,14 @@ def measure_boundedness(bias, n1: int, n0: int, *, budget: int = 50_000,
             f"{count} words exceed the budget of {budget} and no sampling "
             "fallback was requested"
         )
+    kernel = GeneralizedExclusionChain(bias, n1, n0)
     rng = np.random.default_rng(seed)
-    visited = [bottom_word(n1, n0)]
-    word = list(visited[0])
-    n = n1 + n0
+    word = bottom_word(n1, n0)
+    walk = [word]
     for _ in range(sample_steps):
-        i = int(rng.integers(1, n))
-        if word[i - 1] != word[i]:
-            if rng.random() < bias(tuple(word), i):
-                word[i - 1], word[i] = word[i], word[i - 1]
-                visited.append(tuple(word))
-    return _boundedness_over(visited, bias, exact=False)
+        word = sample_step(kernel, word, rng)
+        walk.append(word)
+    return _boundedness_over(dict.fromkeys(walk), bias, exact=False)
 
 
 def _boundedness_over(words, bias, exact: bool) -> BiasReport:

@@ -10,17 +10,19 @@ The nearest-neighbour chains share one adjacent-swap rule
 (:func:`_swap_row`): a position 1 <= i < n is chosen uniformly and, if the
 items at i and i+1 differ, they are exchanged with a pair probability.
 M_nn reads it from the pairwise matrix, M_pp from the class-pair table and
-M_e from the bias callback.  The class chains (M_tk, M_k1, M_pp) resolve
-their class-pair table once, when the kernel is built; each row reads the
-classes by position from the state itself (M_k1 and M_pp, on words) or
-through the partition (M_tk and M_i, on permutations).  M_tree
-likewise resolves each pair's lowest common ancestor once: its rows read a
-list of (pair, blocking leaf set, probability) built with the kernel.
+M_e from the bias callback.  The class chains (M_tk, M_k1, M_pp) share
+:class:`_ClassChain`, which resolves their class-pair table once, when the
+kernel is built, and reads the classes of a state by position from a
+class-label word (M_k1 and M_pp) or through the partition (M_tk).  M_tk's
+moves (:meth:`ClassTranspositionChain.moves`) are the ones its rows and
+its canonical paths read.  M_tree likewise resolves each pair's lowest
+common ancestor once: its rows read a list of (pair, blocking leaf set,
+probability) built with the kernel.
 
 Holding conventions follow the chain definitions exactly; no extra 1/2
-laziness is added anywhere.  Acceptance probabilities above one are an
-error, never clamped: clamping would silently change the stationary
-distribution and mask invalid inputs.
+laziness is added anywhere.  M_tk and M_k1 accept their moves with
+Metropolis probabilities min(1, pi(y)/pi(x)), so they keep the product
+law on every k-class set; a transition mass above one is an error.
 """
 
 from __future__ import annotations
@@ -42,27 +44,9 @@ from . import treerep
 # shared move mechanics
 
 
-def _is_permutation(state, n: int) -> bool:
-    return len(state) == n and set(state) == set(range(1, n + 1))
-
-
-def _classes(state: tuple, partition: ClassPartition, on_words: bool) -> tuple:
-    """Class label at each position of a state.
-
-    A word over 1..k carries its labels; the elements of a permutation are
-    mapped through the partition.
-    """
-    if on_words:
-        counts = tuple(state.count(c) for c in range(1, partition.k + 1))
-        if len(state) != partition.n or counts != partition.sizes:
-            raise ValidationError(
-                f"{state} is not a word over 1..{partition.k} with label counts "
-                f"{partition.sizes}"
-            )
-        return state
-    if not _is_permutation(state, partition.n):
-        raise ValidationError(f"{state} is not a permutation of 1..{partition.n}")
-    return tuple(partition.class_of(x) for x in state)
+def _check_permutation(state: tuple, n: int):
+    if len(state) != n or set(state) != set(range(1, n + 1)):
+        raise ValidationError(f"{state} is not a permutation of 1..{n}")
 
 
 def _finish_row(state, targets: dict) -> dict:
@@ -97,53 +81,48 @@ def _swap_row(state: tuple, swap_prob) -> dict:
 
 
 class MtkMove:
-    """One admissible transposition: positions i < j, direction, acceptance."""
+    """One admissible transposition: positions i < j, direction, acceptance,
+    and its transition mass ``prob``, 1/(3n) times the acceptance."""
 
-    __slots__ = ("i", "j", "direction", "acceptance")
+    __slots__ = ("i", "j", "direction", "acceptance", "prob")
 
-    def __init__(self, i, j, direction, acceptance):
-        self.i, self.j, self.direction, self.acceptance = i, j, direction, acceptance
-
-
-def mtk_moves(state, prob_set: ProbabilitySet, partition: ClassPartition,
-              directions=("L", "R", "N")) -> list[MtkMove]:
-    """Enumerate the class-transposition moves available from a state.
-
-    For each position i and direction:
-      L: the nearest left position j holding a class >= the class at i; the
-         move fires (with acceptance 1) only if that class is strictly
-         greater.
-      R: the nearest right position j with class >= class at i; if strictly
-         greater the swap is accepted with probability
-         ratio(j, i) * prod over i < m < j of ratio over m, exactly the
-         product of bias ratios that makes detailed balance with the L move
-         hold.
-      N: the nearest left position in the same class; the swap always
-         fires.
-
-    The state may be a permutation or a class-label word.  Acceptance
-    above 1 means the probabilities are outside the weakly monotone regime
-    this chain requires; it is reported, never clamped.
-    """
-    state = tuple(state)
-    classes = _classes(state, partition, not _is_permutation(state, partition.n))
-    return _class_moves(state, classes, validate_kclass(prob_set, partition),
-                        directions)
+    def __init__(self, i, j, direction, acceptance, prob):
+        self.i, self.j, self.direction = i, j, direction
+        self.acceptance, self.prob = acceptance, prob
 
 
-def _class_moves(state: tuple, classes: tuple, table,
-                 directions=("L", "R", "N")) -> list[MtkMove]:
-    """:func:`mtk_moves` over resolved classes and class-pair table.
+def _class_moves(classes: tuple, table, directions) -> list[MtkMove]:
+    """The class-transposition moves of a state with these position classes.
 
     ``table[a, b]`` is the probability of ordering a class-a item ahead of
-    a class-b item (:func:`biasedperm.model.validate_kclass`); ``state``
-    only names the state in the error message.
+    a class-b item (:func:`biasedperm.model.validate_kclass`).  For each
+    position i and direction:
+      L: the nearest left position j holding a class >= the class at i; if
+         that class is strictly greater, the swap is accepted with
+         probability min(1, 1/r), r the product of the reverse R move.
+      R: the nearest right position j with class >= class at i; if strictly
+         greater the swap is accepted with probability min(1, r), where
+         r = ratio(j, i) * prod over i < m < j of ratio(j, m) ratio(m, i)
+         is pi(y)/pi(x) for the product law.
+      N: the nearest left position in the same class; the swap always
+         fires.
+    These are Metropolis acceptances, so the product law is stationary on
+    every k-class set.  Each move has mass 1/(3n) times its acceptance.
     """
     n = len(classes)
+    base = 1.0 / (3 * n)
 
     def ratio(a: int, b: int) -> float:
-        ca, cb = classes[a - 1], classes[b - 1]
-        return float(table[ca, cb]) / float(table[cb, ca])
+        return float(table[a, b]) / float(table[b, a])
+
+    def product(big: int, small: int, lo: int, hi: int) -> float:
+        # pi(y)/pi(x) for putting the class-big item at hi ahead of the
+        # class-small item at lo; an L move reads its reverse R move's r
+        # through the same float operations
+        acc = ratio(big, small)
+        for m in range(lo + 1, hi):
+            acc *= ratio(big, classes[m - 1]) * ratio(classes[m - 1], small)
+        return acc
 
     moves: list[MtkMove] = []
     for i in range(1, n + 1):
@@ -152,35 +131,27 @@ def _class_moves(state: tuple, classes: tuple, table,
             for j in range(i - 1, 0, -1):
                 if classes[j - 1] >= ci:
                     if classes[j - 1] > ci:
-                        moves.append(MtkMove(j, i, "L", 1.0))
+                        acc = min(1.0, 1.0 / product(classes[j - 1], ci, j, i))
+                        moves.append(MtkMove(j, i, "L", acc, base * acc))
                     break
         if "R" in directions:
             for j in range(i + 1, n + 1):
                 if classes[j - 1] >= ci:
                     if classes[j - 1] > ci:
-                        acc = ratio(j, i)
-                        for m in range(i + 1, j):
-                            acc *= ratio(j, m) * ratio(m, i)
-                        if acc > 1.0:
-                            raise PropertyViolationError(
-                                f"acceptance probability {acc} > 1 for the right move "
-                                f"({i}, {j}) from {state}; the probability set is "
-                                "outside the weakly monotone regime this chain requires"
-                            )
-                        moves.append(MtkMove(i, j, "R", acc))
+                        acc = min(1.0, product(classes[j - 1], ci, i, j))
+                        moves.append(MtkMove(i, j, "R", acc, base * acc))
                     break
         if "N" in directions:
             for j in range(i - 1, 0, -1):
                 if classes[j - 1] == ci:
-                    moves.append(MtkMove(j, i, "N", 1.0))
+                    moves.append(MtkMove(j, i, "N", 1.0, base))
                     break
     return moves
 
 
 def _move_row(state: tuple, moves) -> dict:
-    """Row of a class-transposition chain: mass 1/(3n) per move, times its
-    acceptance; same-class exchanges on words fold into the self-loop."""
-    base = 1.0 / (3 * len(state))
+    """Row of a class-transposition chain: each move's mass; same-class
+    exchanges on words fold into the self-loop."""
     targets: dict = {}
     for mv in moves:
         out = list(state)
@@ -188,7 +159,7 @@ def _move_row(state: tuple, moves) -> dict:
         tgt = tuple(out)
         if tgt == state:
             continue
-        targets[tgt] = targets.get(tgt, 0.0) + base * mv.acceptance
+        targets[tgt] = targets.get(tgt, 0.0) + mv.prob
     return _finish_row(state, targets)
 
 
@@ -355,21 +326,47 @@ class AdjacentTranspositionChain(ChainKernel):
         return _swap_row(sigma, lambda i: prob(sigma[i], sigma[i - 1]))
 
 
-class ClassTranspositionChain(ChainKernel):
-    """M_tk: every (position, direction L/R/N) pair carries mass 1/(3n) times
-    its move's acceptance (:func:`mtk_moves`); unused mass is the self-loop."""
-
-    name = "mtk"
+class _ClassChain(ChainKernel):
+    """A chain over class labels: the model, its partition and the
+    class-pair table are resolved once, when the kernel is built."""
 
     def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
         self.prob_set = prob_set
         self.partition = partition
         self.table = validate_kclass(prob_set, partition)
 
+    def classes(self, state: tuple) -> tuple:
+        """Class label at each position of a state of the kernel's space.
+
+        A word over 1..k carries its labels; the elements of a permutation
+        are mapped through the partition.
+        """
+        partition = self.partition
+        if self.space_kind == "words":
+            counts = tuple(state.count(c) for c in range(1, partition.k + 1))
+            if len(state) != partition.n or counts != partition.sizes:
+                raise ValidationError(
+                    f"{state} is not a word over 1..{partition.k} with label counts "
+                    f"{partition.sizes}"
+                )
+            return state
+        _check_permutation(state, partition.n)
+        return tuple(partition.class_of(x) for x in state)
+
+
+class ClassTranspositionChain(_ClassChain):
+    """M_tk: every (position, direction L/R/N) pair carries mass 1/(3n) times
+    its move's acceptance (:meth:`moves`); unused mass is the self-loop."""
+
+    name = "mtk"
+
+    def moves(self, state) -> list[MtkMove]:
+        """The L, R and N moves available from a permutation (:func:`_class_moves`)."""
+        return _class_moves(self.classes(tuple(state)), self.table, ("L", "R", "N"))
+
     def transitions(self, state):
         state = tuple(state)
-        classes = _classes(state, self.partition, False)
-        return _move_row(state, _class_moves(state, classes, self.table))
+        return _move_row(state, self.moves(state))
 
 
 class SameClassChain(ChainKernel):
@@ -386,8 +383,9 @@ class SameClassChain(ChainKernel):
 
     def transitions(self, state):
         sigma, cls = tuple(state), self.cls
-        classes = _classes(sigma, self.partition, False)
-        positions = [i for i in range(1, len(sigma) + 1) if classes[i - 1] == cls]
+        _check_permutation(sigma, self.partition.n)
+        class_of = self.partition.class_of
+        positions = [i for i, x in enumerate(sigma, 1) if class_of(x) == cls]
         base = 1.0 / len(positions)
         targets: dict = {}
         # the nearest class-mate left of each class position is the one before it
@@ -398,38 +396,27 @@ class SameClassChain(ChainKernel):
         return _finish_row(sigma, targets)
 
 
-class CrossClassChain(ChainKernel):
-    """M_k1 on class-label words: the L and R moves of :func:`mtk_moves`, each
-    with mass 1/(3n) (not 1/(2n)), as the cross-class part of M_tk."""
+class CrossClassChain(_ClassChain):
+    """M_k1 on class-label words: M_tk's L and R moves, each with mass 1/(3n)
+    (not 1/(2n)), as the cross-class part of M_tk."""
 
     name = "mk1"
     space_kind = "words"
 
-    def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
-        self.prob_set = prob_set
-        self.partition = partition
-        self.table = validate_kclass(prob_set, partition)
-
     def transitions(self, state):
         state = tuple(state)
-        classes = _classes(state, self.partition, True)
-        return _move_row(state, _class_moves(state, classes, self.table, ("L", "R")))
+        return _move_row(state, _class_moves(self.classes(state), self.table, ("L", "R")))
 
 
-class ParticleProcessChain(ChainKernel):
+class ParticleProcessChain(_ClassChain):
     """M_pp: the adjacent-swap rule on class-label words, with the
     probabilities of the class-pair table."""
 
     name = "mpp"
     space_kind = "words"
 
-    def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
-        self.prob_set = prob_set
-        self.partition = partition
-        self.table = validate_kclass(prob_set, partition)
-
     def transitions(self, state):
-        word = _classes(tuple(state), self.partition, True)
+        word = self.classes(tuple(state))
         table = self.table
         return _swap_row(word, lambda i: float(table[word[i], word[i - 1]]))
 
@@ -453,8 +440,7 @@ class TreeSwapChain(ChainKernel):
     def transitions(self, state):
         sigma = tuple(state)
         n = self.tree.n
-        if not _is_permutation(sigma, n):
-            raise ValidationError(f"{sigma} is not a permutation of 1..{n}")
+        _check_permutation(sigma, n)
         pos = {x: i for i, x in enumerate(sigma)}
         base = 1.0 / (n * (n - 1) / 2)
         targets: dict = {}

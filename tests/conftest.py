@@ -15,6 +15,8 @@ from biasedperm.model import (
     random_monotone_set,
 )
 from biasedperm import treerep
+from biasedperm.analysis import build_matrix, mixing_time_exact, space_for_kernel, stationary_exact
+from biasedperm.kernels import GeneralizedExclusionChain, constant_bias
 
 # Seven leaves, three internal nodes; used across the tree and chain tests.
 EXAMPLE_TREE = {
@@ -34,6 +36,23 @@ EXAMPLE_TREE = {
 @pytest.fixture(scope="session")
 def example_tree():
     return treerep.parse_tree(EXAMPLE_TREE)
+
+
+@pytest.fixture(scope="session")
+def exclusion_scans():
+    """Criterion 6b's chains (bias 0.75, n1 = total // 2) at totals 6..12:
+    {total: (kernel, dense matrix, exact pi, tau(1/4) scanned with tmax=768)}.
+
+    The worst-start scans take seconds, so the tests that need them share
+    one run.
+    """
+    scans = {}
+    for total in (6, 8, 10, 12):
+        kernel = GeneralizedExclusionChain(constant_bias(0.75), total // 2, total - total // 2)
+        matrix = build_matrix(kernel, space_for_kernel(kernel))
+        pi = stationary_exact(matrix)
+        scans[total] = (kernel, matrix, pi, mixing_time_exact(matrix, pi, 0.25, tmax=768))
+    return scans
 
 
 def random_league_tree_dict(n: int, rng, max_degree: int = 4) -> dict:

@@ -158,7 +158,7 @@ def path_sweep():
         prob_set, partition = seeded_kclass(n, k, seed=[909, seed])
         assert check_weak_monotonicity(prob_set).weakly_monotone
         space = enumerate_states("permutations", n=n)
-        records = collect_canonical_paths(space, prob_set, partition)
+        records = collect_canonical_paths(ClassTranspositionChain(prob_set, partition), space)
         nn_matrix = build_matrix(AdjacentTranspositionChain(prob_set), space)
         pi = stationary_exact(nn_matrix)
         rows.append((n, k, prob_set, partition, space, records, nn_matrix, pi))
@@ -250,7 +250,7 @@ def test_criterion_6a_uniform_relaxation_slope():
            + ", ".join(f"{v:.1f}" for v in fit.values))
 
 
-def test_criterion_6b_exclusion_mixing_slope():
+def test_criterion_6b_exclusion_mixing_slope(exclusion_scans):
     # Constant-bias exclusion mixes in Theta(n^2) steps, a large-n statement.
     # At totals 6..14 tau(1/4) / (4N(N-1)) still climbs 0.48 -> 0.76 (4N(N-1)
     # is the leading order of the ASEP cutoff location in this chain's steps),
@@ -260,15 +260,9 @@ def test_criterion_6b_exclusion_mixing_slope():
     # lower bound equals the exact worst-start tau at totals 6..12 (asserted
     # here) and at 14; that it keeps matching beyond total 12 is observed,
     # not proved.  The upper bound is rigorous for every size.
-    eps = 0.25
-    exact_totals = [6, 8, 10, 12]
+    eps = 0.25  # the exact taus at totals 6..12 are the fixture's, at eps = 1/4
     exact = []
-    for total in exact_totals:
-        kernel = _exclusion_kernel(total)
-        space = enumerate_states("binary", n1=kernel.n1, n0=kernel.n0)
-        matrix = build_matrix(kernel, space)
-        pi = stationary_exact(matrix)
-        tau = mixing_time_exact(matrix, pi, eps, tmax=768)
+    for total, (kernel, _, _, tau) in exclusion_scans.items():
         lower, upper = mixing_bracket(kernel, eps)
         assert lower == tau <= upper, (total, lower, tau, upper)
         exact.append(tau)

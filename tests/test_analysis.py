@@ -55,7 +55,6 @@ from biasedperm.kernels import (
     ParticleProcessChain,
     TreeSwapChain,
     constant_bias,
-    mtk_moves,
     word_hash_bias,
 )
 
@@ -317,7 +316,7 @@ class TestCsrPipeline:
     def test_congestion_matches_the_former_dense_code(self):
         prob_set, partition = seeded_kclass(6, 3, seed=[707, 1])
         space = enumerate_states("permutations", n=6)
-        records = collect_canonical_paths(space, prob_set, partition)
+        records = collect_canonical_paths(ClassTranspositionChain(prob_set, partition), space)
         nn = build_csr(AdjacentTranspositionChain(prob_set), space)
         pi = stationary_exact(nn)
         report = congestion(nn, records, pi, space)
@@ -327,7 +326,7 @@ class TestCsrPipeline:
     def test_congestion_names_the_first_step_off_the_chain(self):
         prob_set, partition = seeded_kclass(4, 2, seed=[505, 0])
         space = enumerate_states("permutations", n=4)
-        records = collect_canonical_paths(space, prob_set, partition)
+        records = collect_canonical_paths(ClassTranspositionChain(prob_set, partition), space)
         dense = build_matrix(AdjacentTranspositionChain(prob_set), space)
         pi = stationary_exact(dense)
         steps = [(space.index[a], space.index[b]) for rec in records
@@ -632,9 +631,10 @@ class TestMixing:
                                    rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("tmax", [None, 768])
-    def test_exclusion_tau_at_totals_6_to_12(self, tmax):
-        taus = [mixing_time_exact(*_exclusion_matrix(total), 0.25, tmax)
-                for total in (6, 8, 10, 12)]
+    def test_exclusion_tau_at_totals_6_to_12(self, tmax, exclusion_scans):
+        # the tmax=768 scans are criterion 6b's, shared through the fixture
+        taus = [tau if tmax == 768 else mixing_time_exact(matrix, pi, 0.25, tmax)
+                for _, matrix, pi, tau in exclusion_scans.values()]
         assert taus == [57, 132, 240, 379]
 
     def test_tv_curve_is_deterministic_across_threads(self, monkeypatch):
@@ -802,10 +802,11 @@ class TestCanonicalPaths:
         ps, part = seeded_kclass(4, 2, seed=2)
         sigma = (1, 2, 3, 4)
         # find an adjacent cross-class move
-        for mv in mtk_moves(sigma, ps, part):
+        kernel = ClassTranspositionChain(ps, part)
+        for mv in kernel.moves(sigma):
             if mv.j == mv.i + 1:
                 y = permcore.transpose(sigma, mv.i, mv.j)
-                path = canonical_path(sigma, y, mv.direction, ps, part)
+                path = canonical_path(kernel, sigma, y, mv.direction)
                 assert path.length == 1
                 break
         else:
@@ -821,7 +822,7 @@ class TestCanonicalPaths:
         x = (6, 8, 1, 4, 11, 9, 10, 2, 5, 3, 7)
         assert permcore.project(x, part) == CRITICAL_SNAPSHOTS[0]
         y = permcore.transpose(x, 1, 11)
-        path = canonical_path(x, y, "N", ps, part)
+        path = canonical_path(ClassTranspositionChain(ps, part), x, y, "N")
         words = [permcore.project(s, part) for s in path.states]
         it = iter(words)
         for snapshot in CRITICAL_SNAPSHOTS:
@@ -832,18 +833,28 @@ class TestCanonicalPaths:
     def test_wrong_direction_rejected(self):
         ps, part = seeded_kclass(4, 2, seed=2)
         sigma = (1, 2, 3, 4)
-        mv = mtk_moves(sigma, ps, part)[0]
+        kernel = ClassTranspositionChain(ps, part)
+        mv = kernel.moves(sigma)[0]
         y = permcore.transpose(sigma, mv.i, mv.j)
         other = {"L": "N", "R": "N", "N": "L"}[mv.direction]
         with pytest.raises(ValidationError):
-            canonical_path(sigma, y, other, ps, part)
+            canonical_path(kernel, sigma, y, other)
+
+    def test_other_kernels_rejected(self):
+        ps, part = seeded_kclass(4, 2, seed=2)
+        space = enumerate_states("permutations", n=4)
+        for kernel in (AdjacentTranspositionChain(ps), CrossClassChain(ps, part)):
+            with pytest.raises(ValidationError, match="M_tk kernel"):
+                collect_canonical_paths(kernel, space)
+            with pytest.raises(ValidationError, match="M_tk kernel"):
+                canonical_path(kernel, (1, 2, 3, 4), (2, 1, 3, 4), "L")
 
     def test_every_step_is_adjacent_and_weight_floor_holds(self):
         for seed in range(3):
             ps, part = seeded_kclass(5, 3, seed=[303, seed])
             space = enumerate_states("permutations", n=5)
             logw = {s: permcore.log_weight(s, ps) for s in space.states}
-            records = collect_canonical_paths(space, ps, part)
+            records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
             for rec in records:
                 path = rec.path
                 floor = min(logw[path.x], logw[path.y]) - 1e-9
@@ -862,7 +873,7 @@ class TestCanonicalPaths:
         assert (report.prop1, report.prop2, report.prop3) == (True, False, True)
         space = enumerate_states("permutations", n=4)
         logw = {s: permcore.log_weight(s, ps) for s in space.states}
-        records = collect_canonical_paths(space, ps, part)
+        records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
         assert {rec.path.direction for rec in records} == {"L", "R", "N"}
         for rec in records:
             floor = min(logw[rec.path.x], logw[rec.path.y]) - 1e-12
@@ -871,7 +882,7 @@ class TestCanonicalPaths:
     def test_n_edges_connect_equal_weights(self):
         ps, part = seeded_kclass(5, 2, seed=7)
         space = enumerate_states("permutations", n=5)
-        for rec in collect_canonical_paths(space, ps, part):
+        for rec in collect_canonical_paths(ClassTranspositionChain(ps, part), space):
             if rec.path.direction == "N":
                 a = permcore.log_weight(rec.path.x, ps)
                 b = permcore.log_weight(rec.path.y, ps)
@@ -883,7 +894,7 @@ class TestCongestion:
         ps = uniform_set(3)
         part = ClassPartition(3, ())
         space = enumerate_states("permutations", n=3)
-        records = collect_canonical_paths(space, ps, part)
+        records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
         nn = build_matrix(AdjacentTranspositionChain(ps), space)
         pi = stationary_exact(nn)
         report = congestion(nn, records, pi, space)
@@ -896,7 +907,7 @@ class TestCongestion:
         for seed in range(2):
             ps, part = seeded_kclass(4, 2, seed=[505, seed])
             space = enumerate_states("permutations", n=4)
-            records = collect_canonical_paths(space, ps, part)
+            records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
             nn = build_matrix(AdjacentTranspositionChain(ps), space)
             pi = stationary_exact(nn)
             report = congestion(nn, records, pi, space)
@@ -923,6 +934,15 @@ class TestScaling:
     def test_too_few_sizes(self):
         with pytest.raises(ValidationError):
             fit_loglog([3, 4], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_non_positive_value_rejected(self, bad):
+        with pytest.raises(ValidationError, match="positive values"):
+            fit_loglog([3, 4, 5], [1.0, bad, 2.0])
+
+    def test_one_state_size_rejected(self):
+        with pytest.raises(ValidationError, match="one-state space"):
+            gap_scaling(lambda n: AdjacentTranspositionChain(uniform_set(n)), [1, 2, 3])
 
     def test_uniform_nearest_neighbor_slope_smoke(self):
         fit = gap_scaling(

@@ -14,6 +14,10 @@ from conftest import EXAMPLE_TREE
 UNIFORM3 = {"type": "kclass", "n": 3, "boundaries": [], "q": {}}
 KCLASS4 = {"type": "kclass", "n": 4, "boundaries": [2],
            "q": {"(1,2)": "0.8"}}
+# weakly monotone by prop3 but not prop2: an M_tk right move has r > 1 here
+PROP3_ONLY4 = {"type": "kclass", "n": 4, "boundaries": [2, 3],
+               "q": {"(1,2)": "0.9111040520518441", "(1,3)": "0.7162309814285105",
+                     "(2,3)": "0.5692436359493266"}}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -293,6 +297,12 @@ class TestExperiments:
         results = read_csv(out / "results.csv")
         assert float(results[1][5]) > 0  # the constant A
 
+    def test_congestion_on_a_prop3_only_set(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "model": PROP3_ONLY4, "chain": "mtk", "experiment": "congestion",
+            "out": str(tmp_path / "out")})
+        assert cli.run(cfg) == 0
+
     def test_hitting_csv(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, {
@@ -337,6 +347,14 @@ class TestScaling:
             "experiment": "scaling", "chain": "mnn", "family": "uniform",
             "sizes": [4], "out": str(tmp_path / "out")})
         assert cli.run(cfg) == 1
+
+    @pytest.mark.parametrize("metric", ["relaxation", "mix"])
+    def test_one_state_size_rejected(self, tmp_path, capsys, metric):
+        cfg = write_config(tmp_path, {
+            "experiment": "scaling", "chain": "mnn", "family": "uniform",
+            "metric": metric, "sizes": [1, 2, 3], "out": str(tmp_path / "out")})
+        assert cli.run(cfg) == 1
+        assert "size 1 has a one-state space" in capsys.readouterr().err
 
     def test_budget_mid_sweep_flushes_partial(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -4,7 +4,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from biasedperm.analysis import enumerate_states
+from biasedperm.analysis import (build_csr, check_detailed_balance, enumerate_states,
+                                 stationary_formula)
 from biasedperm.errors import PropertyViolationError, ValidationError
 from biasedperm.model import (
     ClassPartition,
@@ -27,13 +28,18 @@ from biasedperm.kernels import (
     constant_bias,
     make_bias,
     make_kernel,
-    mtk_moves,
     sample_step,
     square_table_bias,
     word_hash_bias,
 )
 
 from conftest import EXAMPLE_TREE, random_league_tree, seeded_kclass
+
+
+def _lift(word, part):
+    """The permutation with this class word listing each class in increasing order."""
+    members = {c: iter(part.members(c)) for c in range(1, part.k + 1)}
+    return tuple(next(members[c]) for c in word)
 
 
 def assert_row_stochastic(row):
@@ -73,7 +79,8 @@ class TestMtk:
         ps = build_kclass(KClassParams(part, q))
         sigma = (3, 1, 5, 2, 6, 7, 4)
         assert permcore.project(sigma, part) == (3, 1, 4, 2, 5, 6, 3)
-        moves = {(mv.i, mv.j, mv.direction) for mv in mtk_moves(sigma, ps, part)}
+        moves = {(mv.i, mv.j, mv.direction)
+                 for mv in ClassTranspositionChain(ps, part).moves(sigma)}
         assert (1, 7, "N") in moves        # the two class-3 elements
         assert (1, 3, "R") in moves        # class 3 with class 4 across class 1
         assert not any((i, j) == (3, 6) for i, j, _ in moves)  # blocked by class 5
@@ -97,21 +104,33 @@ class TestMtk:
         lam = 0.3 / 0.7
         assert row[(2, 1, 3)] == pytest.approx(lam / 9)
 
-    def test_acceptance_above_one_raises(self):
-        # q violating the row-monotonicity clause can push the middle
-        # product of an R move above 1; this must be reported, not clamped
+    def test_acceptance_above_one_is_metropolis(self):
+        # q violating the row-monotonicity clause pushes the product r of an
+        # R move above 1: the move is accepted with probability 1 and its
+        # reverse L move with 1/r, so the chain balances the product law
         part = ClassPartition(3, (1, 2))
         q = {(1, 2): 0.95, (1, 3): 0.55, (2, 3): 0.55}
         ps = build_kclass(KClassParams(part, q))
         assert not check_weak_monotonicity(ps).prop2
-        with pytest.raises(PropertyViolationError, match="acceptance"):
-            ClassTranspositionChain(ps, part).transitions((2, 1, 3))
+        kernel = ClassTranspositionChain(ps, part)
+        r = (0.45 / 0.55) * ((0.45 / 0.55) * (0.95 / 0.05))
+        right = {(mv.i, mv.j, mv.direction): mv.acceptance for mv in kernel.moves((2, 1, 3))}
+        left = {(mv.i, mv.j, mv.direction): mv.acceptance for mv in kernel.moves((3, 1, 2))}
+        assert right[1, 3, "R"] == 1.0
+        assert left[1, 3, "L"] == pytest.approx(1 / r)
+        space = enumerate_states("permutations", n=3)
+        matrix = build_csr(kernel, space)
+        assert np.abs(np.asarray(matrix.sum(axis=1)).ravel() - 1.0).max() < 1e-12
+        pi = stationary_formula(space, ps)
+        assert np.abs(pi @ matrix - pi).max() < 1e-15
+        assert check_detailed_balance(matrix, pi).max_violation < 1e-15
 
     def test_acceptance_within_one_for_monotone_sets(self):
         for seed in range(4):
             ps, part = seeded_kclass(5, 3, seed=[101, seed])
+            kernel = ClassTranspositionChain(ps, part)
             for sigma in permutations(range(1, 6)):
-                for mv in mtk_moves(sigma, ps, part):
+                for mv in kernel.moves(sigma):
                     assert mv.acceptance <= 1.0
 
     def test_mnn_support_subset_of_mtk(self):
@@ -129,14 +148,17 @@ class TestMtk:
         # and the L/R moves of the cross-class chain
         ps, part = seeded_kclass(5, 3, seed=77)
         n = 5
+        mtk, mk1 = ClassTranspositionChain(ps, part), CrossClassChain(ps, part)
         for sigma in permutations(range(1, 6)):
-            moves = mtk_moves(sigma, ps, part)
+            moves = mtk.moves(sigma)
             split = {"N": set(), "LR": set()}
             for mv in moves:
                 key = "N" if mv.direction == "N" else "LR"
                 split[key].add((mv.i, mv.j))
             assert split["N"] & split["LR"] == set()
-            cross = {(mv.i, mv.j) for mv in mtk_moves(sigma, ps, part, ("L", "R"))}
+            word = permcore.project(sigma, part)
+            cross = {tuple(p for p in range(1, n + 1) if target[p - 1] != word[p - 1])
+                     for target in mk1.transitions(word) if target != word}
             assert cross == split["LR"]
             within = set()
             for c in range(1, part.k + 1):
@@ -149,11 +171,13 @@ class TestMtk:
             assert within == split["N"]
 
     def test_mk1_equals_mtk_restricted(self):
+        # M_k1 on a word moves like M_tk's L and R moves on any permutation
+        # with that word
         ps, part = seeded_kclass(4, 2, seed=13)
-        mk1 = CrossClassChain(ps, part)
+        mtk, mk1 = ClassTranspositionChain(ps, part), CrossClassChain(ps, part)
         for word in enumerate_states("words", multiplicities=part.sizes).states:
-            full = mtk_moves(word, ps, part)
-            lr_only = {(mv.i, mv.j): mv.acceptance for mv in full
+            sigma = _lift(word, part)
+            lr_only = {(mv.i, mv.j): mv.acceptance for mv in mtk.moves(sigma)
                        if mv.direction != "N"}
             k1 = mk1.transitions(word)
             expected = {}
@@ -686,14 +710,14 @@ class TestReferenceRows:
         perms = enumerate_states("permutations", n=6).states
         self.assert_rows_equal(AdjacentTranspositionChain(ps),
                                lambda s: _ref_mnn(s, ps), perms)
+        mtk = ClassTranspositionChain(ps, part)
         self.assert_rows_equal(
-            ClassTranspositionChain(ps, part),
-            lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R", "N")), perms)
+            mtk, lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R", "N")), perms)
         for sigma in perms:
-            for directions in (("L", "R", "N"), ("L", "R")):
-                moves = [(mv.i, mv.j, mv.direction, mv.acceptance)
-                         for mv in mtk_moves(sigma, ps, part, directions)]
-                assert moves == _ref_mtk_moves(sigma, ps, part, directions)
+            moves = [(mv.i, mv.j, mv.direction, mv.acceptance) for mv in mtk.moves(sigma)]
+            assert moves == _ref_mtk_moves(sigma, ps, part)
+            assert ([mv for mv in moves if mv[2] != "N"]
+                    == _ref_mtk_moves(sigma, ps, part, ("L", "R")))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mi_on_permutations(self, seed):
@@ -712,9 +736,11 @@ class TestReferenceRows:
             lambda s: _ref_transitions_from_moves(s, ps, part, ("L", "R")), words)
         self.assert_rows_equal(ParticleProcessChain(ps, part),
                                lambda s: _ref_mpp(s, ps, part), words)
+        # M_tk's moves on a permutation are the reference's moves on its word
+        mtk = ClassTranspositionChain(ps, part)
         for word in words:
-            moves = [(mv.i, mv.j, mv.direction, mv.acceptance)
-                     for mv in mtk_moves(word, ps, part)]
+            sigma = _lift(word, part)
+            moves = [(mv.i, mv.j, mv.direction, mv.acceptance) for mv in mtk.moves(sigma)]
             assert moves == _ref_mtk_moves(word, ps, part)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
