@@ -21,6 +21,7 @@ from biasedperm.model import (
     build_kclass,
     check_weak_monotonicity,
     constant_bias_set,
+    random_monotone_set,
     uniform_set,
 )
 from biasedperm import analysis, permcore
@@ -447,16 +448,30 @@ def _exclusion_matrix(total):
     return matrix, stationary_exact(matrix)
 
 
-def _former_tv_curve(matrix, pi, tmax):
-    """The propagation the column-block scan replaced: the whole power P^t,
-    times dense P up to 256 states and CSR P above, reduced row by row."""
-    op = sp.csr_matrix(matrix) if matrix.shape[0] > 256 else matrix
+def _former_distances(matrix, pi, tmax, dense_max=256):
+    """Every start's |P^t(s, .) - pi|_1 at t = 0..tmax, from the propagation
+    the column-block scan replaced: the whole power P^t, times dense P up to
+    dense_max states and CSR P above, reduced row by row.  It reduces every
+    start at every step."""
+    op = sp.csr_matrix(matrix) if matrix.shape[0] > dense_max else matrix
     power = np.eye(matrix.shape[0])
-    curve = []
     for _ in range(tmax + 1):
-        curve.append(0.5 * float(np.abs(power - pi).sum(axis=1).max()))
+        yield np.abs(power - pi).sum(axis=1)
         power = np.asarray(power @ op)
-    return np.array(curve)
+
+
+def _former_tv_curve(matrix, pi, tmax, dense_max=256):
+    """The worst-start curve of ``_former_distances``.  With dense_max=0 it
+    takes the CSR route at every size, whose summation order the block
+    scan reproduces bit for bit."""
+    return np.array([0.5 * float(rows.max())
+                     for rows in _former_distances(matrix, pi, tmax, dense_max)])
+
+
+@lru_cache(maxsize=None)
+def _former_exclusion_curve(total, tmax):
+    """``_former_tv_curve`` of ``_exclusion_matrix(total)``, computed once."""
+    return _former_tv_curve(*_exclusion_matrix(total), tmax)
 
 
 def _former_mixing_time(matrix, pi, eps, tmax=None):
@@ -619,8 +634,7 @@ class TestMixing:
     def test_tv_curve_is_the_former_csr_propagation_bit_for_bit(self):
         matrix, pi = _exclusion_matrix(12)
         assert matrix.shape[0] > 256  # the former CSR route
-        assert np.array_equal(tv_curve(matrix, pi, 200),
-                              _former_tv_curve(matrix, pi, 200))
+        assert np.array_equal(tv_curve(matrix, pi, 200), _former_exclusion_curve(12, 200))
 
     @pytest.mark.parametrize("total", [6, 8, 10])
     def test_tv_curve_matches_the_former_dense_propagation(self, total):
@@ -639,20 +653,87 @@ class TestMixing:
 
     def test_tv_curve_is_deterministic_across_threads(self, monkeypatch):
         matrix, pi = _exclusion_matrix(12)
-        threaded = tv_curve(matrix, pi, 50)
-        assert np.array_equal(tv_curve(matrix, pi, 50), threaded)
+        unpruned = _former_exclusion_curve(12, 200)[:101]
+        threaded = tv_curve(matrix, pi, 100)
+        assert np.array_equal(threaded, unpruned)
+        assert np.array_equal(tv_curve(matrix, pi, 100), threaded)
         # more workers than cores, switching threads as often as possible: a
-        # lost or misplaced block update would change the curve
+        # lost or misplaced block update, or a block skipped on a stale
+        # running max, would change the curve
         monkeypatch.setattr(analysis, "_usable_cores", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            stressed = tv_curve(matrix, pi, 50)
+            stressed = tv_curve(matrix, pi, 100)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(stressed, threaded)
+        assert np.array_equal(stressed, unpruned)
         monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)
-        assert np.array_equal(tv_curve(matrix, pi, 50), threaded)
+        assert np.array_equal(tv_curve(matrix, pi, 100), unpruned)
+
+    def test_scan_reduces_only_the_blocks_that_can_hold_the_max(self, monkeypatch):
+        matrix, pi = _exclusion_matrix(12)  # 924 states: eight blocks
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)  # one dispatch order
+        reduced = []
+        column_tv = analysis._column_tv
+
+        def counted(*args):
+            reduced.append(1)
+            return column_tv(*args)
+
+        monkeypatch.setattr(analysis, "_column_tv", counted)
+        curve = tv_curve(matrix, pi, 100)
+        assert len(reduced) < 8 * 100 // 2
+        assert np.array_equal(curve, _former_exclusion_curve(12, 200)[:101])
+
+    @pytest.mark.parametrize("total", [10, 12])
+    def test_pruned_scan_is_exact_on_a_non_reversible_chain(self, total):
+        kernel = GeneralizedExclusionChain(word_hash_bias, total // 2, total - total // 2)
+        matrix = build_matrix(kernel, space_for_kernel(kernel))
+        pi = stationary_exact(matrix)
+        assert check_detailed_balance(matrix, pi).max_violation > analysis._BALANCE_TOL
+        assert np.array_equal(tv_curve(matrix, pi, 200),
+                              _former_tv_curve(matrix, pi, 200, dense_max=0))
+
+    def test_pruned_scan_follows_the_worst_start_across_blocks(self):
+        kernel = AdjacentTranspositionChain(random_monotone_set(6, np.random.default_rng(6)))
+        matrix = build_matrix(kernel, space_for_kernel(kernel))  # 720 states: six blocks
+        pi = stationary_exact(matrix)
+        distances = list(_former_distances(matrix, pi, 200, dense_max=0))
+        worst_blocks = [int(rows.argmax()) // analysis._TV_BLOCK for rows in distances[1:]]
+        assert len(set(worst_blocks)) == 3
+        assert np.array_equal(tv_curve(matrix, pi, 200),
+                              [0.5 * float(rows.max()) for rows in distances])
+
+    def test_pruned_scan_is_exact_for_a_perturbed_pi(self):
+        # bias 0.9 mixes fast enough that the curve comes down to the
+        # perturbation's scale (about 1e-6) within the scan
+        kernel = GeneralizedExclusionChain(constant_bias(0.9), 5, 5)  # 252 states
+        matrix = build_matrix(kernel, space_for_kernel(kernel))
+        pi = stationary_exact(matrix)
+        pi = pi + 4e-6 / len(pi) * np.random.default_rng(0).standard_normal(len(pi))
+        assert 5e-7 < np.abs(pi @ matrix - pi).sum() < 2e-6
+        assert np.array_equal(tv_curve(matrix, pi, 500),
+                              _former_tv_curve(matrix, pi, 500, dense_max=0))
+
+    def test_bound_allows_for_the_residual_of_pi(self, monkeypatch):
+        # P swaps states 0 and 128 and holds the rest, so the uniform law is
+        # stationary; pi is moved off it to a residual |pi P - pi|_1 of 1e-6.
+        # Block 1 (starts 128..255) is eta below block 0's t = 1 value at
+        # t = 0, then rises by 4 eta, the whole residual, to 3 eta above it:
+        # a bound without the residual would skip block 1 at t = 1 and
+        # report block 0's value
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 1)  # block 0 first
+        n, eta = 256, 2.5e-7
+        swap = np.arange(n)
+        swap[[0, 128]] = [128, 0]
+        matrix = np.eye(n)[swap]
+        pi = np.full(n, 1 / n)
+        pi[[0, 1, 128, 255]] += [-3 * eta, -1.5 * eta, -eta, 5.5 * eta]
+        assert np.abs(pi @ matrix - pi).sum() == pytest.approx(4 * eta)
+        curve = tv_curve(matrix, pi, 3)
+        assert curve[1] == pytest.approx(0.5 * (2 - 2 * pi[0]))
+        assert np.array_equal(curve, _former_tv_curve(matrix, pi, 3, dense_max=0))
 
     def test_scan_leaves_no_thread_behind(self):
         matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks
