@@ -13,8 +13,7 @@ the stages are timed as the CLI calls them, on whatever matrix form it
 hands them.  Per experiment it reports, from the repeat with the shortest
 ``cli_s``:
 
-- ``build_csr_s``, ``build_matrix_s``: the matrix builds (``build_matrix``
-  includes the ``build_csr`` it calls);
+- ``build_csr_s``: the sparse matrix build;
 - ``stationary_exact_s``, split into ``lu_s`` (``np.linalg.solve``) and
   ``stationary_rest_s``; ``is_irreducible_s`` is part of the rest;
 - ``check_detailed_balance_s``; ``spectral_gap_s`` (includes the balance
@@ -66,9 +65,8 @@ PLAN = (("mnn", "stationary"), ("mnn", "balance"), ("mnn", "gap"),
         ("mtk", "stationary"), ("mtk", "balance"), ("mtk", "gap"),
         ("mtk", "congestion"), ("mtree", "stationary"), ("mk1", "decompose"))
 REPEATS = 3
-STAGES = ("build_csr", "build_matrix", "stationary_exact", "is_irreducible",
-          "check_detailed_balance", "spectral_gap", "congestion",
-          "verify_decomposition")
+STAGES = ("build_csr", "stationary_exact", "is_irreducible", "check_detailed_balance",
+          "spectral_gap", "congestion", "verify_decomposition")
 
 
 def _timed(owner, attr, totals, key):

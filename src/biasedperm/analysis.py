@@ -39,8 +39,8 @@ from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import all_words, area, bottom_word, top_word
 from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
                       GeneralizedExclusionChain)
-from .model import (ClassPartition, ProbabilitySet, random_monotone_set, uniform_set,
-                    validate_kclass)
+from .model import (ClassPartition, ProbabilitySet, _physical_memory, random_monotone_set,
+                    uniform_set, validate_kclass)
 
 DEFAULT_BUDGET = 50_000
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
@@ -183,13 +183,6 @@ def is_irreducible(matrix: sp.spmatrix | np.ndarray) -> bool:
     support.sum_duplicates()
     count, _ = connected_components(support, directed=True, connection="strong")
     return count == 1
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or infinity where the OS does not say."""
-    if hasattr(os, "sysconf"):
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    return math.inf
 
 
 # ---------------------------------------------------------------------------

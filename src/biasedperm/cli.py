@@ -247,6 +247,9 @@ def _exp_decompose(run: _Run):
     if not isinstance(fix, list) or not fix:
         raise ValidationError("fix_classes must be a nonempty list of class labels")
     fix = [model.parse_int(c, "a fix_classes label") for c in fix]
+    k = kernel.partition.k
+    if any(not 1 <= c <= k for c in fix):
+        raise ValidationError(f"fix_classes labels must lie in 1..{k}, got {fix}")
     space = analysis.space_for_kernel(kernel, budget=run.budget)
     matrix = analysis.build_csr(kernel, space)
     # closed-form weights: strongly biased word chains have stationary

@@ -37,16 +37,12 @@ from pathlib import Path
 from .errors import PropertyViolationError, ValidationError
 from .model import (ClassPartition, ProbabilitySet, _parse_pair_key, parse_int, parse_real,
                     validate_kclass)
+from .permcore import project, validate_permutation
 from . import treerep
 
 
 # ---------------------------------------------------------------------------
 # shared move mechanics
-
-
-def _check_permutation(state: tuple, n: int):
-    if len(state) != n or set(state) != set(range(1, n + 1)):
-        raise ValidationError(f"{state} is not a permutation of 1..{n}")
 
 
 def _finish_row(state, targets: dict) -> dict:
@@ -350,8 +346,7 @@ class _ClassChain(ChainKernel):
                     f"{partition.sizes}"
                 )
             return state
-        _check_permutation(state, partition.n)
-        return tuple(partition.class_of(x) for x in state)
+        return project(validate_permutation(state, partition.n), partition)
 
 
 class ClassTranspositionChain(_ClassChain):
@@ -382,10 +377,9 @@ class SameClassChain(ChainKernel):
         self.name = f"mi:{cls}"
 
     def transitions(self, state):
-        sigma, cls = tuple(state), self.cls
-        _check_permutation(sigma, self.partition.n)
-        class_of = self.partition.class_of
-        positions = [i for i, x in enumerate(sigma, 1) if class_of(x) == cls]
+        sigma = validate_permutation(state, self.partition.n)
+        positions = [i for i, c in enumerate(project(sigma, self.partition), 1)
+                     if c == self.cls]
         base = 1.0 / len(positions)
         targets: dict = {}
         # the nearest class-mate left of each class position is the one before it
@@ -425,7 +419,8 @@ class TreeSwapChain(ChainKernel):
     """M_tree: a pair {a, b} is chosen uniformly among the C(n, 2) pairs; if no
     element between them descends from their lowest common ancestor, a and b
     are placed in order with probability p[a][b] and out of order otherwise.
-    Mass that leaves the state unchanged folds into the self-loop."""
+    Each pair so reaches one other state, its two positions swapped; the
+    mass of keeping its order folds into the self-loop."""
 
     name = "mtree"
 
@@ -433,29 +428,22 @@ class TreeSwapChain(ChainKernel):
         self.tree = tree
         self.prob_set = treerep.induced_probabilities(tree)
         # (a, b, leaves that block the pair, p[a][b]) for every pair a < b
-        self.pairs = [(a, b, tree.leaf_descendants(tree.lca(a, b)[0]),
-                       self.prob_set.prob(a, b))
+        self.pairs = [(a, b, tree.lca(a, b)[0].leaves, self.prob_set.prob(a, b))
                       for a in range(1, tree.n + 1) for b in range(a + 1, tree.n + 1)]
 
     def transitions(self, state):
-        sigma = tuple(state)
         n = self.tree.n
-        _check_permutation(sigma, n)
+        sigma = validate_permutation(state, n)
         pos = {x: i for i, x in enumerate(sigma)}
         base = 1.0 / (n * (n - 1) / 2)
         targets: dict = {}
         for a, b, blockers, p_in in self.pairs:
-            lo, hi = sorted((pos[a], pos[b]))
-            if not blockers.isdisjoint(sigma[lo + 1:hi]):
+            i, j = pos[a], pos[b]
+            if not blockers.isdisjoint(sigma[min(i, j) + 1:max(i, j)]):
                 continue
-            in_order = list(sigma)
-            in_order[lo], in_order[hi] = a, b
-            out_order = list(sigma)
-            out_order[lo], out_order[hi] = b, a
-            for tgt, mass in ((tuple(in_order), base * p_in),
-                              (tuple(out_order), base * (1.0 - p_in))):
-                if tgt != sigma:
-                    targets[tgt] = targets.get(tgt, 0.0) + mass
+            out = list(sigma)
+            out[i], out[j] = b, a
+            targets[tuple(out)] = base * (1.0 - p_in if i < j else p_in)
         return _finish_row(sigma, targets)
 
 

@@ -2,9 +2,11 @@
 
 Three families are supported: a general pairwise matrix, class-structured
 sets where the swap probability depends only on the classes of the two
-elements, and access-frequency (weight) sets with p[i][j] = w_i/(w_i+w_j).
-Tree-structured sets are built in :mod:`biasedperm.treerep` and reuse the
-same container type.
+elements, and access-frequency (weight) sets with p[i][j] = w_i/(w_i+w_j),
+which are the class-structured sets of their runs of equal weight.
+Tree-structured sets are built in :mod:`biasedperm.treerep`.  Every family
+hands its upper entries to one fill, :func:`_pairwise`, which is where the
+complement rule p[j][i] = 1 - p[i][j] holds.
 
 Indices are 1-based everywhere in the public API and in serialized form.
 All off-diagonal probabilities live strictly inside (0, 1): endpoint values
@@ -14,15 +16,16 @@ undefined, so they are rejected at construction time.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
-from .errors import ValidationError
-
-PROVENANCES = ("general", "k-class", "w-distribution", "league-tree")
+from .errors import BudgetExceededError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -31,18 +34,15 @@ class ProbabilitySet:
 
     ``p[i-1, j-1]`` is the probability that elements i and j end up in the
     order (i, j) when they interact.  Both triangles are stored; the
-    complement relation p[j][i] = 1 - p[i][j] holds exactly because the
-    mirror entry is always derived as ``1.0 - value``.  The diagonal is
-    unused and set to NaN.
+    complement relation p[j][i] = 1 - p[i][j] holds exactly because
+    :func:`_pairwise`, which fills every set, derives the mirror entry as
+    ``1.0 - value``.  The diagonal is unused and set to NaN.
     """
 
     n: int
     p: np.ndarray
-    provenance: str = "general"
 
     def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
         self.p.setflags(write=False)
 
     def prob(self, i: int, j: int) -> float:
@@ -172,23 +172,9 @@ class WeightVector:
             vals.append(Fraction(d))
         return cls(tuple(vals))
 
-    @property
-    def distinct(self) -> tuple[Fraction, ...]:
-        out = []
-        for v in self.values:
-            if not out or out[-1] != v:
-                out.append(v)
-        return tuple(out)
-
     def induced_partition(self) -> ClassPartition:
         """Classes are the runs of equal weight values."""
-        sizes = []
-        for v in self.values:
-            if sizes and self.values[sum(sizes) - 1] == v:
-                sizes[-1] += 1
-            else:
-                sizes.append(1)
-        return ClassPartition.from_sizes(sizes)
+        return ClassPartition.from_sizes(len(list(run)) for _, run in groupby(self.values))
 
 
 @dataclass(frozen=True)
@@ -220,6 +206,39 @@ def _check_open_interval(value: float, what: str) -> float:
     return value
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not say."""
+    if hasattr(os, "sysconf"):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return math.inf
+
+
+def _pairwise(n: int, entries) -> ProbabilitySet:
+    """The one fill of a pairwise matrix, and the one place the complement
+    rule holds.
+
+    ``entries`` yields (i, j, v) with 1-based i != j; v must lie in the
+    open interval (0, 1) and is stored at [i][j], with 1.0 - v at [j][i].
+    A matrix whose 8 n^2 bytes exceed physical memory is refused with
+    ``BudgetExceededError`` before anything is allocated.
+    """
+    need = 8 * n * n
+    memory = _physical_memory()
+    if need > memory:
+        raise BudgetExceededError(
+            f"the {n} x {n} probability matrix needs {need / 2**30:.1f} GiB, "
+            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+        )
+    p = np.full((n, n), np.nan)
+    for i, j, v in entries:
+        v = float(v)
+        if not 0.0 < v < 1.0:
+            _check_open_interval(v, f"p[{i}][{j}]")  # raises
+        p[i - 1, j - 1] = v
+        p[j - 1, i - 1] = 1.0 - v
+    return ProbabilitySet(n=n, p=p)
+
+
 def build_general(n: int, entries) -> ProbabilitySet:
     """Build a general set from one probability per unordered pair.
 
@@ -229,24 +248,25 @@ def build_general(n: int, entries) -> ProbabilitySet:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    p = np.full((n, n), np.nan)
     seen = set()
-    for i, j, v in entries:
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise ValidationError(f"bad pair ({i}, {j}) for n={n}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValidationError(f"pair {key} supplied more than once")
-        seen.add(key)
-        v = _check_open_interval(v, f"p[{i}][{j}]")
-        p[i - 1, j - 1] = v
-        p[j - 1, i - 1] = 1.0 - v
+
+    def checked():
+        for i, j, v in entries:
+            if not (1 <= i <= n and 1 <= j <= n) or i == j:
+                raise ValidationError(f"bad pair ({i}, {j}) for n={n}")
+            key = (min(i, j), max(i, j))
+            if key in seen:
+                raise ValidationError(f"pair {key} supplied more than once")
+            seen.add(key)
+            yield i, j, v
+
+    prob_set = _pairwise(n, checked())
     missing = [
         (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in seen
     ]
     if missing:
         raise ValidationError(f"missing pairs: {missing}")
-    return ProbabilitySet(n=n, p=p, provenance="general")
+    return prob_set
 
 
 def build_kclass(params: KClassParams) -> ProbabilitySet:
@@ -256,35 +276,17 @@ def build_kclass(params: KClassParams) -> ProbabilitySet:
     elements from classes a < b are put in increasing order with
     probability q[(a, b)].
     """
-    part = params.partition
-    n = part.n
-    p = np.full((n, n), np.nan)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            ci, cj = part.class_of(i), part.class_of(j)
-            if ci == cj:
-                v = 0.5
-            else:
-                v = float(params.q[(ci, cj)])
-            p[i - 1, j - 1] = v
-            p[j - 1, i - 1] = 1.0 - v
-    return ProbabilitySet(n=n, p=p, provenance="k-class")
+    part, q = params.partition, params.q
+    labels = [part.class_of(x) for x in range(1, part.n + 1)]
+    return _pairwise(part.n, ((i, j, 0.5 if a == b else q[(a, b)])
+                              for i, a in enumerate(labels, 1)
+                              for j, b in enumerate(labels[i:], i + 1)))
 
 
 def build_from_weights(w: WeightVector) -> ProbabilitySet:
-    """Frequency-induced set with p[i][j] = w_i / (w_i + w_j)."""
-    vals = w.values
-    n = len(vals)
-    p = np.full((n, n), np.nan)
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = float(vals[i] / (vals[i] + vals[j]))
-            if vals[i] == vals[j]:
-                v = 0.5
-            v = _check_open_interval(v, f"p[{i + 1}][{j + 1}]")
-            p[i, j] = v
-            p[j, i] = 1.0 - v
-    return ProbabilitySet(n=n, p=p, provenance="w-distribution")
+    """Frequency-induced set with p[i][j] = w_i / (w_i + w_j): the k-class
+    set of the weight vector's runs of equal value."""
+    return build_kclass(kclass_params_from_weights(w))
 
 
 def kclass_params_from_weights(w: WeightVector) -> KClassParams:
@@ -365,22 +367,18 @@ def check_bounded(prob_set: ProbabilitySet, partition: ClassPartition):
     """Minimum cross-class bias ratio p[i][j]/p[j][i] over i < j, or None.
 
     Returns None when the partition has no cross-class pair (single class);
-    the caller compares the returned ratio against its own threshold.
+    the caller compares the returned ratio against its own threshold.  Every
+    cross pair of classes a < b has the ratio table[a, b] / table[b, a] of
+    the class-pair table.
     """
-    validate_kclass(prob_set, partition)
-    best = None
-    for i in range(1, prob_set.n + 1):
-        for j in range(i + 1, prob_set.n + 1):
-            if partition.class_of(i) == partition.class_of(j):
-                continue
-            r = prob_set.ratio(i, j)
-            if best is None or r < best:
-                best = r
-    return best
+    table = validate_kclass(prob_set, partition)
+    k = partition.k
+    return min((float(table[a, b] / table[b, a])
+                for a in range(1, k + 1) for b in range(a + 1, k + 1)), default=None)
 
 
 def random_monotone_set(n: int, rng, low: float = 0.5, high: float = 0.99) -> ProbabilitySet:
-    """Seeded random monotone positively biased set (general provenance).
+    """Seeded random monotone positively biased general set.
 
     Monotone here means p[i][j] <= p[i][j+1] and p[i][j] >= p[i+1][j] for
     all 1 <= i < j <= n, with every upper-triangle entry in [low, high].

@@ -18,10 +18,12 @@ from .model import ClassPartition, ProbabilitySet
 
 
 def validate_permutation(sigma, n: int | None = None) -> tuple:
-    sigma = tuple(int(x) for x in sigma)
+    """sigma as a tuple, refused unless it holds each of 1..n exactly once
+    (n defaults to its length)."""
+    sigma = tuple(sigma)
     if n is None:
         n = len(sigma)
-    if sorted(sigma) != list(range(1, n + 1)):
+    if len(sigma) != n or set(sigma) != set(range(1, n + 1)):
         raise ValidationError(f"{sigma} is not a permutation of 1..{n}")
     return sigma
 

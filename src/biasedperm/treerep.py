@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ValidationError
-from .model import ProbabilitySet, _parse_pair_key, parse_real
+from .model import ProbabilitySet, _pairwise, _parse_pair_key, parse_real
+from .permcore import validate_permutation
 
 
 @dataclass
@@ -75,12 +74,6 @@ class LeagueTree:
                         f"leaf {x} appears twice under node {node.name!r}")
                 node.branch[x] = label
         node.leaves = frozenset(node.branch)
-
-    def leaf_descendants(self, node: TreeNode) -> frozenset:
-        return node.leaves
-
-    def child_label_of(self, node: TreeNode, leaf: int) -> int:
-        return node.branch[leaf]
 
     def lca(self, i: int, j: int) -> tuple[TreeNode, int, int]:
         """Lowest common ancestor of leaves i != j and their child branches."""
@@ -150,29 +143,21 @@ def _parse_node(obj):
 
 
 def induced_probabilities(tree: LeagueTree) -> ProbabilitySet:
-    """Pairwise matrix with p[i][j] = q at the lowest common ancestor of i, j."""
+    """Pairwise matrix with p[i][j] = q at the lowest common ancestor of i, j.
+
+    Leaves are sorted left to right, so for i < j the branch a of i is left
+    of the branch b of j and q[(a, b)] is the entry.
+    """
     n = tree.n
-    p = np.full((n, n), np.nan)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            node, a, b = tree.lca(i, j)
-            v = node.q[(a, b)] if a < b else 1.0 - node.q[(b, a)]
-            p[i - 1, j - 1] = v
-            p[j - 1, i - 1] = 1.0 - v
-    return ProbabilitySet(n=n, p=p, provenance="league-tree")
+    lcas = ((i, j, tree.lca(i, j)) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    return _pairwise(n, ((i, j, node.q[(a, b)]) for i, j, (node, a, b) in lcas))
 
 
 def permutation_to_tree_strings(sigma, tree: LeagueTree) -> dict[str, tuple[int, ...]]:
     """Per-node child-label strings read off in permutation order."""
-    if sorted(sigma) != list(range(1, tree.n + 1)):
-        raise ValidationError(f"{sigma} is not a permutation of 1..{tree.n}")
-    strings: dict[str, tuple[int, ...]] = {}
-    for v in tree.internal_nodes:
-        descendants = tree.leaf_descendants(v)
-        strings[v.name] = tuple(
-            tree.child_label_of(v, x) for x in sigma if x in descendants
-        )
-    return strings
+    sigma = validate_permutation(sigma, tree.n)
+    return {v.name: tuple(v.branch[x] for x in sigma if x in v.leaves)
+            for v in tree.internal_nodes}
 
 
 def tree_strings_to_permutation(strings: dict, tree: LeagueTree) -> tuple:

@@ -85,8 +85,8 @@ def random_league_tree(n: int, rng, max_degree: int = 4) -> treerep.LeagueTree:
     return treerep.parse_tree(random_league_tree_dict(n, rng, max_degree))
 
 
-def seeded_kclass(n: int, k: int, seed) -> tuple:
-    """Weakly monotone bounded k-class instance: (prob_set, partition)."""
+def seeded_kclass_params(n: int, k: int, seed) -> KClassParams:
+    """Seeded class sizes and cross-class probabilities, each row of q sorted."""
     rng = np.random.default_rng(seed)
     sizes = _random_sizes(n, k, rng)
     partition = ClassPartition.from_sizes(sizes)
@@ -95,10 +95,16 @@ def seeded_kclass(n: int, k: int, seed) -> tuple:
         row = np.sort(rng.uniform(0.55, 0.95, size=k - a))
         for off, b in enumerate(range(a + 1, k + 1)):
             q[(a, b)] = float(row[off])
-    prob_set = build_kclass(KClassParams(partition, q))
+    return KClassParams(partition, q)
+
+
+def seeded_kclass(n: int, k: int, seed) -> tuple:
+    """Weakly monotone bounded k-class instance: (prob_set, partition)."""
+    params = seeded_kclass_params(n, k, seed)
+    prob_set = build_kclass(params)
     report = check_weak_monotonicity(prob_set)
     assert report.weakly_monotone, "generator must produce weakly monotone sets"
-    return prob_set, partition
+    return prob_set, params.partition
 
 
 def _random_sizes(n: int, k: int, rng):

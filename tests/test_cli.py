@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from biasedperm import analysis, cli
+from biasedperm import analysis, cli, model
 
 from conftest import EXAMPLE_TREE
 
@@ -103,6 +103,19 @@ class TestValidation:
         assert "physical memory" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_model_matrix_beyond_physical_memory_exit_2(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the one-class mpp space has a single state, so only the model's
+        # 8 * 2000^2 bytes (31 MiB) meet the 4 MiB probe
+        monkeypatch.setattr(model, "_physical_memory", lambda: 2**22)
+        cfg = write_config(tmp_path, {
+            "model": {"type": "kclass", "n": 2000, "boundaries": [], "q": {}},
+            "chain": "mpp", "experiment": "stationary",
+            "out": str(tmp_path / "out")})
+        assert cli.run(cfg) == 2
+        assert "probability matrix" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 MALFORMED = {
     "seed": {"model": UNIFORM3, "chain": "mnn", "experiment": "stationary",
@@ -131,6 +144,8 @@ MALFORMED = {
                     "chain": "mnn", "experiment": "stationary"},
     "fix-classes": {"model": KCLASS4, "chain": "mk1", "experiment": "decompose",
                     "fix_classes": [[1]]},
+    "fix-classes-label": {"model": KCLASS4, "chain": "mk1", "experiment": "decompose",
+                          "fix_classes": [7]},
     "paths-n1": {"model": {"type": "kclass", "n": 1, "boundaries": [], "q": {}},
                  "chain": "mtk", "experiment": "paths"},
     "congestion-n1": {"model": {"type": "kclass", "n": 1, "boundaries": [], "q": {}},

@@ -669,7 +669,7 @@ def _ref_mtree(sigma, tree, prob_set):
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             lo, hi = sorted((pos[a], pos[b]))
-            blockers = tree.leaf_descendants(tree.lca(a, b)[0])
+            blockers = tree.lca(a, b)[0].leaves
             if any(sigma[m - 1] in blockers for m in range(lo + 1, hi)):
                 continue
             p_in = prob_set.prob(a, b)

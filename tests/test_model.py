@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from biasedperm.errors import ValidationError
+from biasedperm.errors import BudgetExceededError, ValidationError
 from biasedperm.model import (
     ClassPartition,
     KClassParams,
@@ -18,16 +18,15 @@ from biasedperm.model import (
     uniform_set,
     validate_kclass,
 )
-from biasedperm import treerep
+from biasedperm import analysis, model, treerep
 
-from conftest import EXAMPLE_TREE, seeded_kclass
+from conftest import EXAMPLE_TREE, random_league_tree, seeded_kclass, seeded_kclass_params
 
 
 class TestBuildGeneral:
     def test_two_element_uniform(self):
         ps = build_general(2, [(1, 2, 0.5)])
         assert ps.prob(2, 1) == 0.5
-        assert ps.provenance == "general"
 
     def test_complement_rule(self):
         ps = build_general(3, [(1, 2, 0.6), (1, 3, 0.7), (2, 3, 0.8)])
@@ -129,6 +128,13 @@ class TestWeights:
             rebuilt = build_kclass(kclass_params_from_weights(w))
             off = ~np.eye(5, dtype=bool)
             assert np.array_equal(ps.p[off], rebuilt.p[off])
+            assert np.array_equal(ps.p, _ref_build_from_weights(w), equal_nan=True)
+
+    def test_distinct_weights_rounding_to_half_rejected(self):
+        # two classes whose cross probability is the float 1/2 are not a k-class set
+        w = WeightVector.from_strings(["1.00000000000000000001", "1"])
+        with pytest.raises(ValidationError, match="strictly in"):
+            build_from_weights(w)
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValidationError):
@@ -240,3 +246,125 @@ class TestConfig:
     def test_probability_string_required(self):
         with pytest.raises(ValidationError):
             model_from_config({"type": "general", "n": 2, "entries": [[1, 2, 0.6]]})
+
+
+# The former builders: each filled its own matrix, pair by pair.
+
+
+def _ref_build_kclass(params):
+    part = params.partition
+    n = part.n
+    p = np.full((n, n), np.nan)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            ci, cj = part.class_of(i), part.class_of(j)
+            v = 0.5 if ci == cj else float(params.q[(ci, cj)])
+            p[i - 1, j - 1] = v
+            p[j - 1, i - 1] = 1.0 - v
+    return p
+
+
+def _ref_build_from_weights(w):
+    vals = w.values
+    n = len(vals)
+    p = np.full((n, n), np.nan)
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = 0.5 if vals[i] == vals[j] else float(vals[i] / (vals[i] + vals[j]))
+            p[i, j] = v
+            p[j, i] = 1.0 - v
+    return p
+
+
+def _ref_induced_probabilities(tree):
+    n = tree.n
+    p = np.full((n, n), np.nan)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            node, a, b = tree.lca(i, j)
+            v = node.q[(a, b)] if a < b else 1.0 - node.q[(b, a)]
+            p[i - 1, j - 1] = v
+            p[j - 1, i - 1] = 1.0 - v
+    return p
+
+
+def _ref_check_bounded(prob_set, partition):
+    validate_kclass(prob_set, partition)
+    best = None
+    for i in range(1, prob_set.n + 1):
+        for j in range(i + 1, prob_set.n + 1):
+            if partition.class_of(i) == partition.class_of(j):
+                continue
+            r = prob_set.ratio(i, j)
+            if best is None or r < best:
+                best = r
+    return best
+
+
+class TestFormerBuilders:
+    """Every builder's matrix, and check_bounded's ratio, equal the former loops'."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_kclass(self, n):
+        for k in range(1, min(n, 4) + 1):
+            for seed in range(3):
+                params = seeded_kclass_params(n, k, [n, k, seed])
+                ps = build_kclass(params)
+                assert np.array_equal(ps.p, _ref_build_kclass(params), equal_nan=True)
+                part = params.partition
+                assert check_bounded(ps, part) == _ref_check_bounded(ps, part)
+
+    @pytest.mark.parametrize("values", [
+        ["1"], ["3", "3"], ["2", "1"], ["4", "2", "2", "1"],
+        ["5", "5", "3", "3", "3", "2", "1", "1"],
+        ["7.25", "7.25", "0.3", "0.3", "0.1"], ["1e3", "1e3", "1e3", "2", "1e-3"],
+    ])
+    def test_weights(self, values):
+        w = WeightVector.from_strings(values)
+        ps = build_from_weights(w)
+        assert np.array_equal(ps.p, _ref_build_from_weights(w), equal_nan=True)
+        part = w.induced_partition()
+        assert check_bounded(ps, part) == _ref_check_bounded(ps, part)
+
+    def test_random_weight_runs(self):
+        rng = np.random.default_rng(71)
+        for n in range(1, 10):
+            for _ in range(5):
+                w = WeightVector.from_strings(
+                    [str(v) for v in sorted(rng.integers(1, 5, size=n), reverse=True)])
+                ps = build_from_weights(w)
+                assert np.array_equal(ps.p, _ref_build_from_weights(w), equal_nan=True)
+                part = w.induced_partition()
+                assert check_bounded(ps, part) == _ref_check_bounded(ps, part)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_league_trees(self, seed):
+        rng = np.random.default_rng([505, seed])
+        for n in range(2, 10):
+            tree = random_league_tree(n, rng)
+            ps = treerep.induced_probabilities(tree)
+            assert np.array_equal(ps.p, _ref_induced_probabilities(tree), equal_nan=True)
+            singletons = ClassPartition(n, tuple(range(1, n)))
+            assert check_bounded(ps, singletons) == _ref_check_bounded(ps, singletons)
+
+
+class TestMatrixBudget:
+    def test_the_probe_is_the_solvers_probe(self):
+        assert analysis._physical_memory is model._physical_memory
+
+    def test_refused_before_allocation_or_reading_entries(self, monkeypatch):
+        def entries():
+            raise AssertionError("entries read before the memory check")
+            yield
+
+        monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 40 * 40 - 1)
+        with pytest.raises(BudgetExceededError, match="physical memory"):
+            model._pairwise(40, entries())
+        with pytest.raises(BudgetExceededError):
+            uniform_set(40)
+        with pytest.raises(BudgetExceededError):
+            build_from_weights(WeightVector.from_strings(["1"] * 40))
+
+    def test_matrix_at_the_bound_is_built(self, monkeypatch):
+        monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 40 * 40)
+        assert uniform_set(40).p.shape == (40, 40)

@@ -58,7 +58,6 @@ class TestInducedProbabilities:
         assert ps.prob(2, 6) == 0.7
         assert ps.prob(5, 6) == 0.9
         assert ps.prob(6, 2) == pytest.approx(0.3)
-        assert ps.provenance == "league-tree"
 
     def test_star_tree_constant(self):
         tree = treerep.parse_tree({
