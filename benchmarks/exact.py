@@ -17,8 +17,9 @@ hands them.  Per experiment it reports, from the repeat with the shortest
 - ``stationary_exact_s``, split into ``lu_s`` (``np.linalg.solve``) and
   ``stationary_rest_s``; ``is_irreducible_s`` is part of the rest;
 - ``check_detailed_balance_s``; ``spectral_gap_s`` (includes the balance
-  scan it runs); ``congestion_s``; ``verify_decomposition_s`` (includes
-  the gaps it computes);
+  scan it runs and, for ``gap``, the edge-ratio pi it builds, with its
+  ``is_irreducible`` call); ``congestion_s``; ``verify_decomposition_s``
+  (includes the gaps it computes);
 - ``cli_s``: the whole ``run_config``;
 - ``peak_rss_mb``: the interpreter's peak resident set over the three runs.
 

@@ -14,7 +14,10 @@ symmetrized matrix of ``spectral_gap``).
 Eigenvalues are always computed on the symmetrized reversible form
 D^(1/2) P D^(-1/2); reversibility is asserted first via the
 detailed-balance scan, which keeps spectra real and matches the
-reversible-chain setting of the gap and comparison bounds.
+reversible-chain setting of the gap and comparison bounds.  Given no pi,
+``spectral_gap`` does not solve: it adds the log edge ratios
+P(u, v) / P(v, u) along a breadth-first tree of the support, in O(nnz),
+and checks every stored pair and the residual of the result.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvecs
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import permcore
 from .errors import BudgetExceededError, PropertyViolationError, ValidationError
@@ -44,6 +47,7 @@ from .model import (ClassPartition, ProbabilitySet, _physical_memory, random_mon
 
 DEFAULT_BUDGET = 50_000
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
+_RATIO_TOL = 1e-9  # relative imbalance of a stored pair the edge-ratio pi accepts
 _TV_BLOCK = 128  # starts per column block of the TV scan; 64..256 time alike
 _TV_HORIZON = 1 << 20  # longest TV scan or coupling run, in steps
 
@@ -178,11 +182,16 @@ def is_irreducible(matrix: sp.spmatrix | np.ndarray) -> bool:
     Stored entries that are not positive, such as the explicit 0.0
     self-loops the kernels list, are not edges.
     """
-    support = sp.csr_matrix(matrix) > 0
-    # connected_components does not return on a CSR with duplicate entries
-    support.sum_duplicates()
-    count, _ = connected_components(support, directed=True, connection="strong")
+    count, _ = connected_components(_support(matrix), directed=True, connection="strong")
     return count == 1
+
+
+def _support(matrix: sp.spmatrix | np.ndarray) -> sp.csr_matrix:
+    """Boolean CSR of the positive entries, duplicates merged (the csgraph
+    traversals do not return on a CSR with duplicate entries)."""
+    support = sp.csr_matrix(matrix) > 0
+    support.sum_duplicates()
+    return support
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +242,50 @@ def stationary_exact(matrix: sp.spmatrix | np.ndarray) -> np.ndarray:
     # negatives; they are indistinguishable from 0 at working precision
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
+
+
+def _stationary_reversible(matrix: sp.csr_matrix) -> np.ndarray:
+    """pi of an irreducible reversible matrix from its edge ratios, in O(nnz).
+
+    Reversibility gives pi(v) / pi(u) = P(u, v) / P(v, u) on every edge, so
+    log pi adds up log P(u, v) - log P(v, u) along a breadth-first tree of
+    the positive support.  The result is accepted only if every stored pair
+    balances to ``_RATIO_TOL`` of its larger flow and the residual
+    |pi P - pi| is at most 1e-9; otherwise the chain is not reversible
+    (``PropertyViolationError``).  A reducible matrix is a
+    ``ValidationError``, as in ``stationary_exact``.
+    """
+    if not is_irreducible(matrix):
+        raise ValidationError("matrix is not irreducible")
+    order, parent = breadth_first_order(_support(matrix), 0, directed=True,
+                                        return_predecessors=True)
+    down = order[1:]
+    up = parent[down]
+    forward = np.asarray(matrix[up, down]).ravel()
+    backward = np.asarray(matrix[down, up]).ravel()
+    if backward.min() <= 0.0:
+        i = int(backward.argmin())
+        raise PropertyViolationError(f"matrix is not reversible: edge "
+                                     f"{(int(up[i]), int(down[i]))} has no reverse transition")
+    logpi = np.zeros(matrix.shape[0])
+    for u, v, step in zip(up.tolist(), down.tolist(),
+                          (np.log(forward) - np.log(backward)).tolist()):
+        logpi[v] = logpi[u] + step
+    pi = np.exp(logpi - logpi.max())
+    pi /= pi.sum()
+    pairs = matrix.tocoo()
+    out = pi[pairs.row] * pairs.data
+    back = pi[pairs.col] * np.asarray(matrix[pairs.col, pairs.row]).ravel()
+    excess = np.abs(out - back) - _RATIO_TOL * np.maximum(out, back)
+    if excess.max(initial=0.0) > 0.0:
+        i = int(excess.argmax())
+        raise PropertyViolationError(
+            f"matrix is not reversible: edge {(int(pairs.row[i]), int(pairs.col[i]))} "
+            f"carries flows {out[i]} and {back[i]}")
+    residual = float(np.abs(matrix.T @ pi - pi).max())
+    if residual > 1e-9:
+        raise PropertyViolationError(f"edge-ratio stationary law has residual {residual}")
+    return pi
 
 
 def stationary_formula(space: StateSpace, prob_set: ProbabilitySet,
@@ -299,7 +352,9 @@ def spectral_gap(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray | None = None,
     Parameters
     ----------
     matrix : row-stochastic square matrix, CSR or dense
-    pi : stationary distribution; computed exactly when omitted
+    pi : stationary distribution; when omitted, built from the edge ratios
+        of the matrix along a breadth-first tree (``_stationary_reversible``),
+        which refuses a reducible or non-reversible matrix
     dense_cutoff : above this size the top and bottom of the spectrum are
         obtained with sparse Lanczos iterations instead of a dense solve
 
@@ -313,7 +368,7 @@ def spectral_gap(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray | None = None,
     if n == 1:
         return 1.0
     if pi is None:
-        pi = stationary_exact(matrix)
+        pi = _stationary_reversible(matrix)
     if pi.min() <= 0:
         raise PropertyViolationError(
             "a stationary mass is at or below the solver's resolution; the "
@@ -959,9 +1014,7 @@ def gap_scaling(family, sizes, budget: int = DEFAULT_BUDGET) -> ScalingFit:
         space = space_for_kernel(kernel, budget=budget)
         if len(space) == 1:  # gap 1 by spectral_gap's convention, not a relaxation time
             raise ValidationError(f"scaling size {size} has a one-state space")
-        matrix = build_csr(kernel, space)
-        pi = stationary_exact(matrix)
-        values.append(1.0 / spectral_gap(matrix, pi))
+        values.append(1.0 / spectral_gap(build_csr(kernel, space)))
     return fit_loglog(sizes, values)
 
 

@@ -117,10 +117,14 @@ class _Run:
         return kernels.make_kernel(chain, prob_set=prob_set, partition=partition,
                                    tree=tree)
 
+    def build(self, kernel):
+        """(space within the budget, the kernel's CSR matrix over it)."""
+        space = analysis.space_for_kernel(kernel, budget=self.budget)
+        return space, analysis.build_csr(kernel, space)
+
     def solve(self, kernel):
         """The exact pipeline: (space within the budget, CSR matrix, exact pi)."""
-        space = analysis.space_for_kernel(kernel, budget=self.budget)
-        matrix = analysis.build_csr(kernel, space)
+        space, matrix = self.build(kernel)
         return space, matrix, analysis.stationary_exact(matrix)
 
 
@@ -185,8 +189,8 @@ def _exp_balance(run: _Run):
 
 
 def _exp_gap(run: _Run):
-    space, matrix, pi = run.solve(run.build_chain())
-    gap = analysis.spectral_gap(matrix, pi)
+    space, matrix = run.build(run.build_chain())
+    gap = analysis.spectral_gap(matrix)
     run.detail_header = ["states", "gap", "relaxation_time"]
     run.detail.append([str(len(space)), _fmt(gap), _fmt(1.0 / gap)])
     run.results.append(_result_row("gap", n=len(space.states[0]),
@@ -250,8 +254,7 @@ def _exp_decompose(run: _Run):
     k = kernel.partition.k
     if any(not 1 <= c <= k for c in fix):
         raise ValidationError(f"fix_classes labels must lie in 1..{k}, got {fix}")
-    space = analysis.space_for_kernel(kernel, budget=run.budget)
-    matrix = analysis.build_csr(kernel, space)
+    space, matrix = run.build(kernel)
     # closed-form weights: strongly biased word chains have stationary
     # masses below the generic solver's resolution
     pi = analysis.stationary_formula(space, kernel.prob_set, kernel.partition)
@@ -411,15 +414,16 @@ def _exp_scaling(run: _Run):
     partial_error = None
     for size in sorted(sizes):
         try:
-            space, matrix, pi = run.solve(family(size))
+            space, matrix = run.build(family(size))
             if len(space) == 1:  # no second eigenvalue, nothing to mix
                 raise ValidationError(f"scaling size {size} has a one-state space")
             if metric == "relaxation":
-                value = 1.0 / analysis.spectral_gap(matrix, pi)
+                value = 1.0 / analysis.spectral_gap(matrix)
                 run.results.append(_result_row("scaling", n=size,
                                                parameter_hash=run.hash,
                                                gap=1.0 / value))
             else:
+                pi = analysis.stationary_exact(matrix)
                 value = float(analysis.mixing_time_exact(matrix, pi, eps))
                 run.results.append(_result_row("scaling", n=size,
                                                parameter_hash=run.hash, tau=value))

@@ -21,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 
@@ -261,11 +261,12 @@ def build_general(n: int, entries) -> ProbabilitySet:
             yield i, j, v
 
     prob_set = _pairwise(n, checked())
-    missing = [
-        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in seen
-    ]
-    if missing:
-        raise ValidationError(f"missing pairs: {missing}")
+    pairs = n * (n - 1) // 2
+    if len(seen) < pairs:
+        missing = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                   if (i, j) not in seen)
+        raise ValidationError(f"{pairs - len(seen)} of {pairs} pairs missing, first "
+                              f"{list(islice(missing, 3))}")
     return prob_set
 
 

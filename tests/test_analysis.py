@@ -58,6 +58,7 @@ from biasedperm.kernels import (
     constant_bias,
     word_hash_bias,
 )
+from biasedperm.exclusion import area
 
 from conftest import random_league_tree, seeded_kclass
 
@@ -437,6 +438,83 @@ class TestSpectralGap:
         matrix = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         with pytest.raises(PropertyViolationError, match="reversible"):
             spectral_gap(matrix, np.full(3, 1 / 3))
+
+
+@lru_cache(maxsize=None)
+def _seeded_instance(case):
+    """(CSR matrix, closed-form pi) of a seeded n = 7 instance."""
+    perms = enumerate_states("permutations", n=7)
+    prob_set, partition = seeded_kclass(7, 3, seed=[15, 1])
+    words = enumerate_states("words", multiplicities=partition.sizes)
+    if case.startswith("mnn"):
+        high = float(case.split(":")[1])
+        prob_set = random_monotone_set(7, np.random.default_rng([15, 3]), 0.5, high)
+        kernel, space = AdjacentTranspositionChain(prob_set), perms
+    elif case == "mtk":
+        kernel, space = ClassTranspositionChain(prob_set, partition), perms
+    elif case == "mtree":
+        kernel = TreeSwapChain(random_league_tree(7, np.random.default_rng([15, 2])))
+        space, prob_set = perms, kernel.prob_set
+    elif case == "mk1":
+        kernel, space = CrossClassChain(prob_set, partition), words
+    else:
+        kernel, space = ParticleProcessChain(prob_set, partition), words
+    pi = stationary_formula(space, prob_set, partition)
+    return build_csr(kernel, space), pi
+
+
+class TestEdgeRatioStationary:
+    """spectral_gap's own pi, from edge ratios along a breadth-first tree."""
+
+    CASES = ["mnn:0.75", "mnn:0.99", "mtk", "mtree", "mk1", "mpp"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_the_formula(self, case):
+        matrix, formula = _seeded_instance(case)
+        pi = analysis._stationary_reversible(matrix)
+        assert np.abs(pi / formula - 1.0).max() < 1e-13
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gap_matches_the_formula_gap(self, case):
+        matrix, formula = _seeded_instance(case)
+        assert spectral_gap(matrix) == pytest.approx(spectral_gap(matrix, formula),
+                                                     rel=0, abs=1e-12)
+
+    def test_default_range_masses_below_the_lu_resolution(self):
+        # the smallest mass of this set is about 5e-17 of the largest, and
+        # stationary_exact's LU rounds it to 0; the edge ratios keep it
+        matrix, formula = _seeded_instance("mnn:0.99")
+        assert formula.min() / formula.max() < 1e-15
+        assert analysis._stationary_reversible(matrix).min() > 0.0
+
+    def test_exclusion_area_law(self):
+        p, lam = 0.75, 3.0
+        kernel = GeneralizedExclusionChain(constant_bias(p), 4, 5)
+        space = space_for_kernel(kernel)
+        expected = np.array([lam ** area(w) for w in space.states])
+        expected /= expected.sum()
+        pi = analysis._stationary_reversible(build_csr(kernel, space))
+        assert np.abs(pi / expected - 1.0).max() < 1e-13
+
+    def test_word_hash_exclusion_not_reversible(self):
+        kernel = GeneralizedExclusionChain(word_hash_bias, 3, 3)
+        matrix = build_csr(kernel, space_for_kernel(kernel))
+        with pytest.raises(PropertyViolationError, match="reversible"):
+            spectral_gap(matrix)
+
+    def test_one_way_edge_not_reversible(self):
+        matrix = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        with pytest.raises(PropertyViolationError, match="reverse transition"):
+            spectral_gap(matrix)
+
+    def test_reducible_rejected(self):
+        block = np.array([[0.5, 0.5], [0.5, 0.5]])
+        matrix = sp.block_diag([block, block], format="csr")
+        with pytest.raises(ValidationError, match="irreducible"):
+            spectral_gap(matrix)
+
+    def test_one_state_gap_is_one(self):
+        assert spectral_gap(np.ones((1, 1))) == 1.0
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from biasedperm import analysis, cli, model
@@ -282,6 +284,28 @@ class TestExperiments:
         results = read_csv(out / "results.csv")
         assert int(float(results[1][4])) >= 1
 
+    def test_gap_mnn_on_a_default_range_general_set(self, tmp_path):
+        # its smallest stationary mass is about 4e-21 of the largest, below
+        # the resolution of stationary_exact's LU; the gap takes pi from
+        # the edge ratios instead
+        prob_set = model.random_monotone_set(7, np.random.default_rng([0, 3]))
+        entries = [[i, j, repr(prob_set.prob(i, j))]
+                   for i in range(1, 8) for j in range(i + 1, 8)]
+        cfg = write_config(tmp_path, {
+            "model": {"type": "general", "n": 7, "entries": entries},
+            "chain": "mnn", "experiment": "gap", "out": str(tmp_path / "out")})
+        assert cli.run(cfg) == 0
+
+    def test_gap_on_the_uniform_n8_set(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "model": {"type": "kclass", "n": 8, "boundaries": [], "q": {}},
+            "chain": "mnn", "experiment": "gap", "out": str(out)})
+        assert cli.run(cfg) == 0
+        states, gap, _ = read_csv(out / "detail.csv")[1]
+        assert states == "40320"
+        assert float(gap) == pytest.approx((1 - math.cos(math.pi / 8)) / 7, abs=1e-12)
+
     def test_tv_curve_rows(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path, {
@@ -370,6 +394,15 @@ class TestScaling:
         assert 2.0 < float(rows[-1][3]) < 4.0
         results = read_csv(out / "results.csv")
         assert len(results) == 4  # header + one row per size
+
+    def test_mix_metric_sweep(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {
+            "experiment": "scaling", "chain": "mnn", "family": "uniform",
+            "metric": "mix", "sizes": [3, 4, 5], "out": str(out)})
+        assert cli.run(cfg) == 0
+        taus = [float(row[4]) for row in read_csv(out / "results.csv")[1:]]
+        assert len(taus) == 3 and taus[0] < taus[1] < taus[2]
 
     def test_single_size_rejected(self, tmp_path):
         cfg = write_config(tmp_path, {

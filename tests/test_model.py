@@ -45,8 +45,16 @@ class TestBuildGeneral:
             build_general(2, [(1, 2, 0.6), (2, 1, 0.7)])
 
     def test_missing_pair_rejected(self):
-        with pytest.raises(ValidationError, match="missing"):
+        with pytest.raises(ValidationError,
+                           match=r"2 of 3 pairs missing, first \[\(1, 3\), \(2, 3\)\]"):
             build_general(3, [(1, 2, 0.6)])
+
+    def test_missing_pairs_message_stays_short(self):
+        with pytest.raises(ValidationError) as info:
+            build_general(1000, [])
+        message = str(info.value)
+        assert message.startswith("499500 of 499500 pairs missing")
+        assert len(message) < 200
 
 
 class TestBuildKClass:
