@@ -2,7 +2,9 @@
 
 Each move of the class-transposition chain is routed through a designated
 sequence of adjacent transpositions whose intermediate states never drop
-below the weight of the endpoints.  The resulting edge congestion yields
+below the weight of the endpoints.  ``canonical_path`` builds one edge's
+route; ``collect_canonical_paths`` builds every edge's as one family of
+index arrays.  The resulting edge congestion yields
 a comparison constant that transfers mixing bounds between the chains.
 """
 
@@ -42,12 +44,22 @@ for state in path.states:
     marker = "*" if log_weight(state, prob_set) >= floor else "!"
     print(f"  {state}  word {project(state, partition)} {marker}")
 
-# congestion over every edge of the richer chain at n = 5
+# every edge of the richer chain at n = 5, as one family of index arrays;
+# path k visits the states family.states[family.indptr[k]:family.indptr[k + 1]]
 space = enumerate_states("permutations", n=5)
-records = collect_canonical_paths(mtk, space)
+family = collect_canonical_paths(mtk, space)
+for direction in "LRN":
+    lengths = family.length[family.direction == direction]
+    print(f"{direction} edges: {len(lengths)} paths, longest {lengths.max()}")
+k = next(k for k in range(len(family))
+         if (family.x[k], family.y[k]) == (space.index[x], space.index[y]))
+visits = family.states[family.indptr[k]:family.indptr[k + 1]]
+assert tuple(space.states[s] for s in visits) == path.states
+print(f"the family's path {k} is the class-1 exchange above")
+
 nn = build_matrix(AdjacentTranspositionChain(prob_set), space)
 pi = stationary_exact(nn)
-report = congestion(nn, records, pi, space)
+report = congestion(nn, family, pi, space)
 print(f"\n{report.n_paths} paths; longest {report.max_path_len} "
       f"(4n = 20); busiest edge carries {report.max_path_count} paths")
 print(f"congestion constant A = {report.constant:.3f}")

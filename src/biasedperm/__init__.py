@@ -76,6 +76,7 @@ from .analysis import (
     CanonicalPath,
     CongestionReport,
     DecompositionReport,
+    PathFamily,
     ScalingFit,
     StateSpace,
     blocks_by_class_positions,

@@ -18,6 +18,11 @@ reversible-chain setting of the gap and comparison bounds.  Given no pi,
 ``spectral_gap`` does not solve: it adds the log edge ratios
 P(u, v) / P(v, u) along a breadth-first tree of the support, in O(nnz),
 and checks every stored pair and the residual of the result.
+The canonical paths of an M_tk kernel come as one ``PathFamily`` of
+index arrays, its state sequences in CSR form: each path's swap positions
+are built once per class word and applied to all of the word's
+permutations through a table of adjacent swaps, and ``congestion`` sums
+the loads per edge over those arrays with ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import all_words, area, bottom_word, top_word
 from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
                       GeneralizedExclusionChain)
-from .model import (ClassPartition, ProbabilitySet, _physical_memory, random_monotone_set,
-                    uniform_set, validate_kclass)
+from .model import (ClassPartition, ProbabilitySet, _physical_memory,
+                    check_weak_monotonicity, random_monotone_set, uniform_set,
+                    validate_kclass)
 
 DEFAULT_BUDGET = 50_000
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
@@ -755,39 +761,12 @@ class CanonicalPath:
         return len(self.swap_positions)
 
 
-@dataclass(frozen=True)
-class PathRecord:
-    x_index: int
-    y_index: int
-    prob: float  # transition probability of the richer chain for this edge
-    path: CanonicalPath
-
-
-class _PathBuilder:
-    def __init__(self, state):
-        self.cur = list(state)
-        self.states = [tuple(state)]
-        self.positions: list[int] = []
-
-    def swap(self, p: int):
-        """Exchange positions p and p+1 (1-based)."""
-        self.cur[p - 1], self.cur[p] = self.cur[p], self.cur[p - 1]
-        self.positions.append(p)
-        self.states.append(tuple(self.cur))
-
-
-def _lr_path(x, i: int, j: int) -> _PathBuilder:
+def _lr_shape(i: int, j: int) -> list[int]:
     # slide the left endpoint right to j-1, swap the pair, slide the other back
-    b = _PathBuilder(x)
-    for p in range(i, j - 1):
-        b.swap(p)
-    b.swap(j - 1)
-    for p in range(j - 2, i - 1, -1):
-        b.swap(p)
-    return b
+    return [*range(i, j - 1), j - 1, *range(j - 2, i - 1, -1)]
 
 
-def _n_path(x, i: int, j: int, classes) -> _PathBuilder:
+def _n_shape(classes, i: int, j: int) -> list[int]:
     """Two-phase same-class exchange, kept at or above the edge weight on
     prop2 sets.
 
@@ -797,12 +776,14 @@ def _n_path(x, i: int, j: int, classes) -> _PathBuilder:
     crosses it first.  Phase II walks a rightward retracing the same
     steps, restoring every displaced element.
     """
-    b = _PathBuilder(x)
     cls = list(classes)
+    origin = list(range(1, len(cls) + 1))  # where the item now at each position started
+    positions: list[int] = []
 
     def swap(p):
-        b.swap(p)
         cls[p - 1], cls[p] = cls[p], cls[p - 1]
+        origin[p - 1], origin[p] = origin[p], origin[p - 1]
+        positions.append(p)
 
     target_class = cls[j - 1]
     jb = j
@@ -817,7 +798,7 @@ def _n_path(x, i: int, j: int, classes) -> _PathBuilder:
             for m in range(jb - 1, l - 1, -1):
                 swap(m)
             jb = l
-    ja = b.cur.index(x[i - 1]) + 1
+    ja = origin.index(i) + 1
     while ja < j:
         if cls[ja] > target_class:
             swap(ja)
@@ -829,7 +810,29 @@ def _n_path(x, i: int, j: int, classes) -> _PathBuilder:
             for m in range(l - 2, ja - 1, -1):
                 swap(m)
             ja = l
-    return b
+    return positions
+
+
+def _path_shape(classes, i: int, j: int, direction: str, mirrored: bool) -> list[int]:
+    """Swap positions of the canonical path of the move exchanging positions
+    i < j of a state with these position classes; swap p exchanges the
+    items at p and p + 1 (1-based).
+
+    L and R edges slide one item across the (strictly smaller-class) gap
+    and back.  N edges use the two-phase construction (``_n_shape``).
+    ``mirrored`` N edges take it in the mirror image: reversing a
+    permutation and relabelling x -> n + 1 - x carries the product law of
+    p to that of p'_ij = p_(n+1-j)(n+1-i), for which prop3 is prop2, so
+    the construction runs on the reversed word with labels c -> k + 1 - c
+    and positions p -> n + 1 - p, and its swaps p' map back to n - p'.
+    """
+    if direction != "N":
+        return _lr_shape(i, j)
+    if not mirrored:
+        return _n_shape(classes, i, j)
+    n, k = len(classes), max(classes)
+    word = [k + 1 - c for c in reversed(classes)]
+    return [n - p for p in _n_shape(word, n + 1 - j, n + 1 - i)]
 
 
 def _mtk(kernel) -> ClassTranspositionChain:
@@ -839,17 +842,24 @@ def _mtk(kernel) -> ClassTranspositionChain:
     return kernel
 
 
+def _mirrored(kernel: ClassTranspositionChain) -> bool:
+    """Whether the kernel's N paths take the mirrored construction: its set
+    is weakly monotone by prop3 but not by prop2."""
+    report = check_weak_monotonicity(kernel.prob_set)
+    return report.prop3 and not report.prop2
+
+
 def canonical_path(kernel: ClassTranspositionChain, x, y, direction: str) -> CanonicalPath:
     """Build the canonical adjacent-transposition path for one M_tk edge.
 
     (x, y) must be one of the kernel's moves (:meth:`ClassTranspositionChain.moves`)
-    from x, with the claimed direction.  L and R edges slide one element
-    across the (strictly smaller-class) gap and back (``_lr_path``); N edges
-    use the two-phase construction (``_n_path``).  On sets weakly monotone
-    by prop1 and prop2 (Bhakta-Miracle-Randall-Streib) the path stays at or
-    above the lighter endpoint's weight; on some sets weakly monotone by
-    prop3 alone, N paths dip below it.  The tests and the CLI's ``paths``
-    experiment check the floor.
+    from x, with the claimed direction.  The path is the one
+    ``collect_canonical_paths`` gives that edge (``_path_shape``).  On sets
+    weakly monotone by prop1 and prop2 (Bhakta-Miracle-Randall-Streib) it
+    stays at or above the lighter endpoint's weight.  On sets weakly
+    monotone by prop1 and prop3 alone N edges take the mirrored
+    construction, the prop2 argument in the mirror image.  The tests and
+    the CLI's ``paths`` experiment check the floor.
     """
     x, y = tuple(x), tuple(y)
     diff = [p for p in range(1, len(x) + 1) if x[p - 1] != y[p - 1]]
@@ -861,38 +871,114 @@ def canonical_path(kernel: ClassTranspositionChain, x, y, direction: str) -> Can
         raise ValidationError(
             f"{x} -> {y} is not a direction-{direction} move of the transposition chain"
         )
-    return _edge_path(x, i, j, direction, kernel.classes(x))
+    shape = _path_shape(kernel.classes(x), i, j, direction, _mirrored(kernel))
+    cur = list(x)
+    states = [x]
+    for p in shape:
+        cur[p - 1], cur[p] = cur[p], cur[p - 1]
+        states.append(tuple(cur))
+    if states[-1] != y:
+        raise PropertyViolationError(f"path construction ended at {states[-1]} instead of {y}")
+    return CanonicalPath(x=x, y=y, direction=direction, states=tuple(states),
+                         swap_positions=tuple(shape))
 
 
-def _edge_path(x: tuple, i: int, j: int, direction: str, classes: tuple) -> CanonicalPath:
-    """The canonical path of the move swapping positions i < j of x, checked
-    to end at the swapped state."""
-    builder = _lr_path(x, i, j) if direction in ("L", "R") else _n_path(x, i, j, classes)
-    y = permcore.transpose(x, i, j)
-    if builder.states[-1] != y:
-        raise PropertyViolationError(
-            f"path construction ended at {builder.states[-1]} instead of {y}"
-        )
-    return CanonicalPath(x=x, y=y, direction=direction, states=tuple(builder.states),
-                         swap_positions=tuple(builder.positions))
+@dataclass(frozen=True, eq=False)
+class PathFamily:
+    """The canonical paths of every edge of an M_tk kernel, as flat arrays.
+
+    Path k runs from state ``x[k]`` to state ``y[k]`` (indices into the
+    space) by ``length[k]`` adjacent swaps, through the states
+    ``states[indptr[k]:indptr[k + 1]]``, both endpoints included.
+    ``prob[k]`` is the mass of its move and ``direction[k]`` the move's
+    kind, "L", "R" or "N".  Paths are ordered by x, then by the kernel's
+    move order.
+    """
+
+    x: np.ndarray  # int64
+    y: np.ndarray  # int64
+    prob: np.ndarray  # float64
+    direction: np.ndarray  # str, one character
+    length: np.ndarray  # int64
+    indptr: np.ndarray  # int64, len(x) + 1 entries
+    states: np.ndarray  # int32
+
+    def __len__(self):
+        return len(self.x)
+
+
+def _swap_table(space: StateSpace) -> np.ndarray:
+    """table[s, p - 1]: index of state s with positions p and p + 1 exchanged."""
+    index = space.index
+    out = array("q")
+    for state in space.states:
+        cur = list(state)
+        for p in range(1, len(cur)):
+            cur[p - 1], cur[p] = cur[p], cur[p - 1]
+            out.append(index[tuple(cur)])
+            cur[p - 1], cur[p] = cur[p], cur[p - 1]
+    return np.array(out).reshape(len(space), -1)
 
 
 def collect_canonical_paths(kernel: ClassTranspositionChain,
-                            space: StateSpace) -> list[PathRecord]:
+                            space: StateSpace) -> PathFamily:
     """Canonical paths for every edge of an M_tk kernel over its space.
 
     Each edge x -> y gets the path ``canonical_path`` builds and the mass
-    of the kernel's move.
+    of the kernel's move.  A path's swap positions depend only on the
+    class word of x and the move, so each is built once per class word and
+    applied to all the word's permutations at once through a table of
+    adjacent swaps.  Every path is checked to end at the transposed state.
     """
     _mtk(kernel)
-    records = []
-    for xi, x in enumerate(space.states):
-        classes = kernel.classes(x)
-        for mv in kernel.moves(x):
-            path = _edge_path(x, mv.i, mv.j, mv.direction, classes)
-            records.append(PathRecord(x_index=xi, y_index=space.index[path.y],
-                                      prob=mv.prob, path=path))
-    return records
+    mirrored = _mirrored(kernel)
+    groups: dict[tuple, list[int]] = {}
+    for s, state in enumerate(space.states):
+        groups.setdefault(kernel.classes(state), []).append(s)
+    words = [(word, np.array(members), kernel.moves(space.states[members[0]]))
+             for word, members in groups.items()]
+    # the paths of state s take the slots start[s] .. start[s + 1] - 1, one
+    # per move in the kernel's order
+    counts = np.zeros(len(space), np.int64)
+    for _, members, moves in words:
+        counts[members] = len(moves)
+    start = np.concatenate(([0], np.cumsum(counts)))
+    total = int(start[-1])
+    prob = np.empty(total)
+    direction = np.empty(total, "U1")
+    length = np.empty(total, np.int64)
+    blocks = []
+    for word, members, moves in words:
+        for rank, mv in enumerate(moves):
+            slots = start[members] + rank
+            shape = _path_shape(word, mv.i, mv.j, mv.direction, mirrored)
+            prob[slots] = mv.prob
+            direction[slots] = mv.direction
+            length[slots] = len(shape)
+            blocks.append((slots, members, mv, shape))
+
+    indptr = np.concatenate(([0], np.cumsum(length + 1)))
+    states = np.empty(int(indptr[-1]), np.int32)
+    y = np.empty(total, np.int64)
+    swap = _swap_table(space)
+    perms = np.array(space.states)
+    for slots, members, mv, shape in blocks:
+        at = indptr[slots]
+        cur = members
+        states[at] = cur
+        for step, p in enumerate(shape, 1):
+            cur = swap[cur, p - 1]
+            states[at + step] = cur
+        y[slots] = cur
+        expected = perms[members]
+        expected[:, [mv.i - 1, mv.j - 1]] = expected[:, [mv.j - 1, mv.i - 1]]
+        wrong = np.flatnonzero((perms[cur] != expected).any(axis=1))
+        if wrong.size:
+            raise PropertyViolationError(
+                f"path construction ended at {space.states[cur[wrong[0]]]} instead of "
+                f"{tuple(int(e) for e in expected[wrong[0]])}")
+    return PathFamily(x=np.repeat(np.arange(len(space)), counts), y=y, prob=prob,
+                      direction=direction, length=length, indptr=indptr, states=states)
 
 
 @dataclass(frozen=True)
@@ -904,55 +990,53 @@ class CongestionReport:
     max_path_count: int  # largest number of paths through one edge
     max_path_len: int
     n_paths: int
-    edge_counts: dict
 
 
-def congestion(nn_matrix: sp.spmatrix | np.ndarray, paths: list[PathRecord],
+def congestion(nn_matrix: sp.spmatrix | np.ndarray, paths: PathFamily,
                pi: np.ndarray, space: StateSpace) -> CongestionReport:
     """Congestion of a path family over the adjacent-transposition edges.
 
     For each directed edge (z, w) of the nearest-neighbor chain the load
     is sum over paths through it of |path| pi(x) P'(x, y); the constant is
-    the maximum load divided by pi(z) P(z, w).
+    the maximum load divided by pi(z) P(z, w).  Loads are summed in path
+    order and edges are ranked by first use, so the largest load that ties
+    goes to the edge used first, and a step off the chain is reported at
+    its first use.
     """
     nn_matrix = sp.csr_matrix(nn_matrix)
-    index = space.index
-    counts: dict[tuple[int, int], int] = {}
-    loads: dict[tuple[int, int], float] = {}
-    max_len = 0
-    for rec in paths:
-        length = rec.path.length
-        max_len = max(max_len, length)
-        contribution = length * pi[rec.x_index] * rec.prob
-        states = rec.path.states
-        for a, bstate in zip(states[:-1], states[1:]):
-            edge = (index[a], index[bstate])
-            counts[edge] = counts.get(edge, 0) + 1
-            loads[edge] = loads.get(edge, 0.0) + contribution
-    best = 0.0
-    best_edge = None
-    if loads:
-        edges = np.array(list(loads), dtype=np.int64)
-        rates = np.asarray(nn_matrix[edges[:, 0], edges[:, 1]]).ravel()
-        # edges are in order of first use, so the first bad one is the
-        # first path step that leaves the nearest-neighbor chain
-        bad = np.flatnonzero(rates <= 0)
-        if bad.size:
-            u, v = edges[bad[0]]
-            raise PropertyViolationError(
-                f"path step {space.states[u]} -> {space.states[v]} is not a "
-                "nearest-neighbor edge"
-            )
-        values = (np.fromiter(loads.values(), float, len(loads))
-                  / (pi[edges[:, 0]] * rates))
-        k = int(np.argmax(values))
-        if values[k] > best:
-            best = float(values[k])
-            best_edge = (space.states[edges[k, 0]], space.states[edges[k, 1]])
+    if not len(paths):
+        return CongestionReport(constant=0.0, argmax_edge=None, max_path_count=0,
+                                max_path_len=0, n_paths=0)
+    # consecutive entries of ``states`` are a step unless they straddle two paths
+    step = np.ones(len(paths.states) - 1, bool)
+    step[paths.indptr[1:-1] - 1] = False
+    size = len(space)
+    keys = paths.states[:-1][step].astype(np.int64) * size + paths.states[1:][step]
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first_use = np.argsort(first)
+    rank = np.empty_like(by_first_use)
+    rank[by_first_use] = np.arange(len(by_first_use))
+    edge = rank[inverse]
+    contribution = paths.length * pi[paths.x] * paths.prob
+    loads = np.bincount(edge, weights=np.repeat(contribution, paths.length))
+    counts = np.bincount(edge)
+    z, w = np.divmod(distinct[by_first_use], size)
+    rates = np.asarray(nn_matrix[z, w]).ravel()
+    bad = np.flatnonzero(rates <= 0)
+    if bad.size:
+        raise PropertyViolationError(
+            f"path step {space.states[z[bad[0]]]} -> {space.states[w[bad[0]]]} is not a "
+            "nearest-neighbor edge"
+        )
+    values = loads / (pi[z] * rates)
+    k = int(np.argmax(values))
+    best, best_edge = 0.0, None
+    if values[k] > best:
+        best = float(values[k])
+        best_edge = (space.states[z[k]], space.states[w[k]])
     return CongestionReport(constant=best, argmax_edge=best_edge,
-                            max_path_count=max(counts.values()) if counts else 0,
-                            max_path_len=max_len, n_paths=len(paths),
-                            edge_counts=counts)
+                            max_path_count=int(counts.max()),
+                            max_path_len=int(paths.length.max()), n_paths=len(paths))
 
 
 def comparison_bound(constant: float, pi_star: float, tau_prime: float,

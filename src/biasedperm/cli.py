@@ -288,27 +288,20 @@ def _mtk_kernel(run: _Run):
 def _exp_paths(run: _Run):
     kernel = _mtk_kernel(run)
     space = analysis.space_for_kernel(kernel, budget=run.budget)
-    records = analysis.collect_canonical_paths(kernel, space)
+    family = analysis.collect_canonical_paths(kernel, space)
     logw = np.array([permcore.log_weight(s, kernel.prob_set) for s in space.states])
-    stats = {}
-    floor_margin = np.inf
-    for rec in records:
-        endpoints = min(logw[rec.x_index], logw[rec.y_index])
-        inner = min(logw[space.index[s]] for s in rec.path.states)
-        floor_margin = min(floor_margin, inner - endpoints)
-        entry = stats.setdefault(rec.path.direction, [0, 0])
-        entry[0] += 1
-        entry[1] = max(entry[1], rec.path.length)
+    inner = np.minimum.reduceat(logw[family.states], family.indptr[:-1])
+    floor_margin = (inner - np.minimum(logw[family.x], logw[family.y])).min()
     n = len(space.states[0])
-    max_len = max(entry[1] for entry in stats.values())
+    max_len = int(family.length.max())
     run.detail_header = ["direction", "paths", "max_len"]
-    for direction in sorted(stats):
-        run.detail.append([direction, str(stats[direction][0]),
-                           str(stats[direction][1])])
+    for direction in np.unique(family.direction):
+        lengths = family.length[family.direction == direction]
+        run.detail.append([str(direction), str(len(lengths)), str(lengths.max())])
     run.results.append(_result_row("paths", n=n, parameter_hash=run.hash,
                                    max_path_len=max_len))
     run.summary += [
-        f"paths: {len(records)}",
+        f"paths: {len(family)}",
         f"max path length: {max_len} (bound 4n = {4 * n})",
         f"min (inner - endpoint) log-weight margin: {floor_margin:.3e}",
     ]
@@ -322,8 +315,8 @@ def _exp_congestion(run: _Run):
     kernel = _mtk_kernel(run)
     # the nearest-neighbour chain runs over the same permutations as mtk
     space, nn_matrix, pi = run.solve(kernels.AdjacentTranspositionChain(kernel.prob_set))
-    records = analysis.collect_canonical_paths(kernel, space)
-    report = analysis.congestion(nn_matrix, records, pi, space)
+    family = analysis.collect_canonical_paths(kernel, space)
+    report = analysis.congestion(nn_matrix, family, pi, space)
     n = len(space.states[0])
     p = kernel.prob_set.p
     p_min = float(np.nanmin(np.where(np.tril(np.ones_like(p), -1) > 0, p, np.nan)))

@@ -355,9 +355,22 @@ class ClassTranspositionChain(_ClassChain):
 
     name = "mtk"
 
-    def moves(self, state) -> list[MtkMove]:
-        """The L, R and N moves available from a permutation (:func:`_class_moves`)."""
-        return _class_moves(self.classes(tuple(state)), self.table, ("L", "R", "N"))
+    def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition):
+        super().__init__(prob_set, partition)
+        self._moves_by_word: dict[tuple, tuple[MtkMove, ...]] = {}
+
+    def moves(self, state) -> tuple[MtkMove, ...]:
+        """The L, R and N moves available from a permutation (:func:`_class_moves`).
+
+        They depend on the state's class word alone, so each word's moves
+        are built once per kernel and shared by its permutations.
+        """
+        word = self.classes(tuple(state))
+        hit = self._moves_by_word.get(word)
+        if hit is None:
+            hit = self._moves_by_word[word] = tuple(
+                _class_moves(word, self.table, ("L", "R", "N")))
+        return hit
 
     def transitions(self, state):
         state = tuple(state)

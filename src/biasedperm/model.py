@@ -219,15 +219,16 @@ def _pairwise(n: int, entries) -> ProbabilitySet:
 
     ``entries`` yields (i, j, v) with 1-based i != j; v must lie in the
     open interval (0, 1) and is stored at [i][j], with 1.0 - v at [j][i].
-    A matrix whose 8 n^2 bytes exceed physical memory is refused with
-    ``BudgetExceededError`` before anything is allocated.
+    A matrix whose 8 n^2 bytes exceed half of physical memory is refused
+    with ``BudgetExceededError`` before anything is allocated: the fill is
+    only the model, and every use of it needs room beside it.
     """
     need = 8 * n * n
     memory = _physical_memory()
-    if need > memory:
+    if need > memory / 2:
         raise BudgetExceededError(
             f"the {n} x {n} probability matrix needs {need / 2**30:.1f} GiB, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory"
+            f"more than half the {memory / 2**30:.1f} GiB of physical memory"
         )
     p = np.full((n, n), np.nan)
     for i, j, v in entries:

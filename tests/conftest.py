@@ -107,6 +107,31 @@ def seeded_kclass(n: int, k: int, seed) -> tuple:
     return prob_set, params.partition
 
 
+def seeded_prop3_only(n: int, k: int, seed) -> tuple:
+    """Seeded k-class instance weakly monotone by prop3 but not by prop2:
+    (prob_set, partition).  Draws class sizes and q ~ U(0.55, 0.95) from
+    one generator until a draw is prop3-only; k >= 3, since every 2-class
+    set with q >= 1/2 satisfies prop2."""
+    rng = np.random.default_rng(seed)
+    while True:
+        partition = ClassPartition.from_sizes(_random_sizes(n, k, rng))
+        q = {(a, b): float(rng.uniform(0.55, 0.95))
+             for a in range(1, k + 1) for b in range(a + 1, k + 1)}
+        prob_set = build_kclass(KClassParams(partition, q))
+        report = check_weak_monotonicity(prob_set)
+        if report.weakly_monotone and report.prop3 and not report.prop2:
+            return prob_set, partition
+
+
+def family_paths(family, space):
+    """The paths of a PathFamily one by one, as (x, y, direction, states),
+    states a tuple of the space's states from x to y."""
+    for k in range(len(family)):
+        chunk = family.states[family.indptr[k]:family.indptr[k + 1]]
+        yield (space.states[family.x[k]], space.states[family.y[k]],
+               str(family.direction[k]), tuple(space.states[s] for s in chunk))
+
+
 def _random_sizes(n: int, k: int, rng):
     cuts = sorted(rng.choice(np.arange(1, n), size=k - 1, replace=False))
     edges = [0] + [int(c) for c in cuts] + [n]

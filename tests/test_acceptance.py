@@ -51,7 +51,8 @@ from biasedperm.kernels import (
     word_hash_bias,
 )
 
-from conftest import EXAMPLE_TREE, random_league_tree, seeded_kclass, stationary_instances
+from conftest import (EXAMPLE_TREE, family_paths, random_league_tree, seeded_kclass,
+                      seeded_prop3_only, stationary_instances)
 
 
 def report(number, ok, text):
@@ -149,36 +150,40 @@ def test_criterion_3_bijections(example_tree):
 # -- criteria 4 and 9 share the path instances -------------------------------
 
 PATH_INSTANCES = [(4, 2, 0), (4, 3, 1), (5, 2, 2), (5, 3, 3), (6, 3, 4)]
+# weakly monotone by prop3 alone; the former N construction dipped below
+# the lighter endpoint on both (log margins -1.00 and -4.91)
+PROP3_PATH_INSTANCES = [(5, 3, 5), (6, 4, 7)]
 
 
 @pytest.fixture(scope="module")
 def path_sweep():
+    sets = [seeded_kclass(n, k, seed=[909, seed]) for n, k, seed in PATH_INSTANCES]
+    sets += [seeded_prop3_only(n, k, seed=[606, seed]) for n, k, seed in PROP3_PATH_INSTANCES]
     rows = []
-    for n, k, seed in PATH_INSTANCES:
-        prob_set, partition = seeded_kclass(n, k, seed=[909, seed])
+    for prob_set, partition in sets:
         assert check_weak_monotonicity(prob_set).weakly_monotone
+        n, k = prob_set.n, partition.k
         space = enumerate_states("permutations", n=n)
-        records = collect_canonical_paths(ClassTranspositionChain(prob_set, partition), space)
+        family = collect_canonical_paths(ClassTranspositionChain(prob_set, partition), space)
         nn_matrix = build_matrix(AdjacentTranspositionChain(prob_set), space)
         pi = stationary_exact(nn_matrix)
-        rows.append((n, k, prob_set, partition, space, records, nn_matrix, pi))
+        rows.append((n, k, prob_set, partition, space, family, nn_matrix, pi))
     return rows
 
 
 def test_criterion_4_canonical_paths(path_sweep):
     max_count_seen = 0
     details = []
-    for n, k, prob_set, partition, space, records, nn_matrix, pi in path_sweep:
+    for n, k, prob_set, partition, space, family, nn_matrix, pi in path_sweep:
         logw = {s: permcore.log_weight(s, prob_set) for s in space.states}
-        for rec in records:
-            path = rec.path
-            assert path.length <= 4 * n, f"path length {path.length} > 4n"
-            floor = min(logw[path.x], logw[path.y]) - 1e-9
-            for a, b in zip(path.states[:-1], path.states[1:]):
+        for x, y, _, states in family_paths(family, space):
+            assert len(states) - 1 <= 4 * n, f"path length {len(states) - 1} > 4n"
+            floor = min(logw[x], logw[y]) - 1e-9
+            for a, b in zip(states[:-1], states[1:]):
                 assert nn_matrix[space.index[a], space.index[b]] > 0
-            for s in path.states:
+            for s in states:
                 assert logw[s] >= floor
-        rep = congestion(nn_matrix, records, pi, space)
+        rep = congestion(nn_matrix, family, pi, space)
         assert rep.max_path_count <= 12 * n ** 3
         max_count_seen = max(max_count_seen, rep.max_path_count)
         details.append(f"n={n},k={k}: max|Gamma|={rep.max_path_count} "
@@ -193,17 +198,20 @@ def test_criterion_9_comparison_soundness(path_sweep):
     eps = 0.25
     lines = []
     ok = True
-    for n, k, prob_set, partition, space, records, nn_matrix, pi in path_sweep:
-        rep = congestion(nn_matrix, records, pi, space)
+    for n, k, prob_set, partition, space, family, nn_matrix, pi in path_sweep:
+        rep = congestion(nn_matrix, family, pi, space)
+        p_min = float(np.nanmin(prob_set.p))  # the diagonal is NaN
+        ok = ok and rep.max_path_count <= 12 * n ** 3 and rep.constant <= 72 * n ** 4 / p_min
         tk_matrix = build_matrix(ClassTranspositionChain(prob_set, partition),
                                  space)
         tau_tk = mixing_time_exact(tk_matrix, pi, eps)
         tau_nn = mixing_time_exact(nn_matrix, pi, eps)
         bound = comparison_bound(rep.constant, float(pi.min()), tau_tk, eps)
         ok = ok and bound >= tau_nn
-        lines.append(f"n={n},k={k}: bound={bound:.0f} >= tau_nn={tau_nn}")
+        lines.append(f"n={n},k={k}: A={rep.constant:.6g}, bound={bound:.0f} >= tau_nn={tau_nn}")
     report(9, ok, "transferred mixing bound dominates the exact value on "
-           "every instance; " + "; ".join(lines))
+           "every instance, A <= 72n^4/p_min and max|Gamma| <= 12n^3; "
+           + "; ".join(lines))
 
 
 # -- criterion 5: decomposition ----------------------------------------------

@@ -60,7 +60,7 @@ from biasedperm.kernels import (
 )
 from biasedperm.exclusion import area
 
-from conftest import random_league_tree, seeded_kclass
+from conftest import family_paths, random_league_tree, seeded_kclass, seeded_prop3_only
 
 
 class TestEnumerate:
@@ -253,15 +253,88 @@ def _former_check_detailed_balance(matrix, pi, block=512):
     return analysis.BalanceReport(max_violation=worst, row=at[0], col=at[1])
 
 
-def _former_congestion(nn_matrix, paths, pi, space):
-    """The per-step dense lookup the CSR pipeline replaced (dense input)."""
+class _FormerPathBuilder:
+    def __init__(self, state):
+        self.cur = list(state)
+        self.states = [tuple(state)]
+
+    def swap(self, p: int):
+        self.cur[p - 1], self.cur[p] = self.cur[p], self.cur[p - 1]
+        self.states.append(tuple(self.cur))
+
+
+def _former_lr_path(x, i, j):
+    b = _FormerPathBuilder(x)
+    for p in range(i, j - 1):
+        b.swap(p)
+    b.swap(j - 1)
+    for p in range(j - 2, i - 1, -1):
+        b.swap(p)
+    return b
+
+
+def _former_n_path(x, i, j, classes):
+    b = _FormerPathBuilder(x)
+    cls = list(classes)
+
+    def swap(p):
+        b.swap(p)
+        cls[p - 1], cls[p] = cls[p], cls[p - 1]
+
+    target_class = cls[j - 1]
+    jb = j
+    while jb > i:
+        if cls[jb - 2] >= target_class:
+            swap(jb - 1)
+            jb -= 1
+        else:
+            l = max(p for p in range(i, jb) if cls[p - 1] >= target_class)
+            for m in range(l, jb - 1):
+                swap(m)
+            for m in range(jb - 1, l - 1, -1):
+                swap(m)
+            jb = l
+    ja = b.cur.index(x[i - 1]) + 1
+    while ja < j:
+        if cls[ja] > target_class:
+            swap(ja)
+            ja += 1
+        else:
+            l = min(p for p in range(ja + 1, j + 1) if cls[p - 1] > target_class)
+            for m in range(ja, l):
+                swap(m)
+            for m in range(l - 2, ja - 1, -1):
+                swap(m)
+            ja = l
+    return b
+
+
+def _former_collect(kernel, space):
+    """The per-edge records collect_canonical_paths built before its flat
+    arrays, each path walked on the permutation itself:
+    [(x index, y index, prob, direction, states)] in x, then move order."""
+    records = []
+    for xi, x in enumerate(space.states):
+        classes = kernel.classes(x)
+        for mv in kernel.moves(x):
+            b = (_former_lr_path(x, mv.i, mv.j) if mv.direction in ("L", "R")
+                 else _former_n_path(x, mv.i, mv.j, classes))
+            assert b.states[-1] == permcore.transpose(x, mv.i, mv.j)
+            records.append((xi, space.index[b.states[-1]], mv.prob, mv.direction,
+                            tuple(b.states)))
+    return records
+
+
+def _former_congestion(nn_matrix, records, pi, space):
+    """The per-step dense lookup and dict accumulation the path arrays
+    replaced (dense input, records of ``_former_collect``)."""
     counts, loads = {}, {}
     max_len = 0
-    for rec in paths:
-        length = rec.path.length
+    for x_index, _, prob, _, states in records:
+        length = len(states) - 1
         max_len = max(max_len, length)
-        contribution = length * pi[rec.x_index] * rec.prob
-        for a, bstate in zip(rec.path.states[:-1], rec.path.states[1:]):
+        contribution = length * pi[x_index] * prob
+        for a, bstate in zip(states[:-1], states[1:]):
             u, v = space.index[a], space.index[bstate]
             if nn_matrix[u, v] <= 0:
                 raise PropertyViolationError(
@@ -279,7 +352,7 @@ def _former_congestion(nn_matrix, paths, pi, space):
     return analysis.CongestionReport(
         constant=best, argmax_edge=best_edge,
         max_path_count=max(counts.values()) if counts else 0,
-        max_path_len=max_len, n_paths=len(paths), edge_counts=counts)
+        max_path_len=max_len, n_paths=len(records))
 
 
 def _pipeline_kernel(chain):
@@ -318,28 +391,31 @@ class TestCsrPipeline:
     def test_congestion_matches_the_former_dense_code(self):
         prob_set, partition = seeded_kclass(6, 3, seed=[707, 1])
         space = enumerate_states("permutations", n=6)
-        records = collect_canonical_paths(ClassTranspositionChain(prob_set, partition), space)
+        kernel = ClassTranspositionChain(prob_set, partition)
+        family = collect_canonical_paths(kernel, space)
         nn = build_csr(AdjacentTranspositionChain(prob_set), space)
         pi = stationary_exact(nn)
-        report = congestion(nn, records, pi, space)
-        assert report == _former_congestion(nn.toarray(), records, pi, space)
-        assert congestion(nn.toarray(), records, pi, space) == report
+        report = congestion(nn, family, pi, space)
+        assert report == _former_congestion(nn.toarray(), _former_collect(kernel, space),
+                                            pi, space)
+        assert congestion(nn.toarray(), family, pi, space) == report
 
     def test_congestion_names_the_first_step_off_the_chain(self):
         prob_set, partition = seeded_kclass(4, 2, seed=[505, 0])
         space = enumerate_states("permutations", n=4)
-        records = collect_canonical_paths(ClassTranspositionChain(prob_set, partition), space)
+        kernel = ClassTranspositionChain(prob_set, partition)
+        family = collect_canonical_paths(kernel, space)
         dense = build_matrix(AdjacentTranspositionChain(prob_set), space)
         pi = stationary_exact(dense)
-        steps = [(space.index[a], space.index[b]) for rec in records
-                 for a, b in zip(rec.path.states[:-1], rec.path.states[1:])]
+        steps = [(space.index[a], space.index[b]) for *_, states in family_paths(family, space)
+                 for a, b in zip(states[:-1], states[1:])]
         # remove a late edge, then an earlier one: the earlier is reported
         for u, v in (steps[-1], steps[len(steps) // 3]):
             dense[u, v] = 0.0
         with pytest.raises(PropertyViolationError) as former:
-            _former_congestion(dense, records, pi, space)
+            _former_congestion(dense, _former_collect(kernel, space), pi, space)
         with pytest.raises(PropertyViolationError) as new:
-            congestion(sp.csr_matrix(dense), records, pi, space)
+            congestion(sp.csr_matrix(dense), family, pi, space)
         assert str(new.value) == str(former.value)
 
     def test_irreducible_on_csr_ignores_stored_zeros(self):
@@ -1008,21 +1084,70 @@ class TestCanonicalPaths:
             with pytest.raises(ValidationError, match="M_tk kernel"):
                 canonical_path(kernel, (1, 2, 3, 4), (2, 1, 3, 4), "L")
 
+    @pytest.mark.parametrize("n, k, seed", [(4, 2, 0), (5, 2, 1), (5, 3, 2), (6, 2, 3),
+                                            (6, 3, 4), (6, 4, 5)])
+    def test_family_is_the_former_per_edge_construction(self, n, k, seed):
+        ps, part = seeded_kclass(n, k, seed=[313, seed])
+        assert check_weak_monotonicity(ps).prop2
+        space = enumerate_states("permutations", n=n)
+        kernel = ClassTranspositionChain(ps, part)
+        family = collect_canonical_paths(kernel, space)
+        former = _former_collect(kernel, space)
+        assert len(family) == len(former)
+        assert family.states.dtype == np.int32
+        for k_, (x_index, y_index, prob, direction, states) in enumerate(former):
+            assert (family.x[k_], family.y[k_], family.direction[k_]) == (
+                x_index, y_index, direction)
+            assert family.prob[k_] == prob
+            assert family.length[k_] == len(states) - 1
+            chunk = family.states[family.indptr[k_]:family.indptr[k_ + 1]]
+            assert chunk.tolist() == [space.index[s] for s in states]
+
+    @pytest.mark.parametrize("prop3_only", [False, True])
+    def test_single_edge_path_is_the_familys(self, prop3_only):
+        ps, part = (seeded_prop3_only(5, 3, seed=[414, 0]) if prop3_only
+                    else seeded_kclass(5, 3, seed=[414, 0]))
+        space = enumerate_states("permutations", n=5)
+        kernel = ClassTranspositionChain(ps, part)
+        for x, y, direction, states in family_paths(collect_canonical_paths(kernel, space),
+                                                    space):
+            assert canonical_path(kernel, x, y, direction).states == states
+
     def test_every_step_is_adjacent_and_weight_floor_holds(self):
         for seed in range(3):
             ps, part = seeded_kclass(5, 3, seed=[303, seed])
             space = enumerate_states("permutations", n=5)
             logw = {s: permcore.log_weight(s, ps) for s in space.states}
-            records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
-            for rec in records:
-                path = rec.path
-                floor = min(logw[path.x], logw[path.y]) - 1e-9
-                for a, b in zip(path.states[:-1], path.states[1:]):
+            family = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
+            for x, y, _, states in family_paths(family, space):
+                floor = min(logw[x], logw[y]) - 1e-9
+                for a, b in zip(states[:-1], states[1:]):
                     diff = [p for p in range(5) if a[p] != b[p]]
                     assert len(diff) == 2 and diff[1] == diff[0] + 1
-                for s in path.states:
+                for s in states:
                     assert logw[s] >= floor
-                assert path.length <= 4 * 5
+                assert states[-1] == y and len(states) - 1 <= 4 * 5
+
+    @pytest.mark.parametrize("n, k, seed", [(4, 3, 4), (5, 3, 5), (5, 4, 16), (6, 3, 6),
+                                            (6, 4, 7)])
+    def test_weight_floor_holds_on_prop3_only_sets(self, n, k, seed):
+        # on each of these sets the former N construction dips below the
+        # lighter endpoint (log margins -0.53 to -4.91); the mirrored one
+        # does not, and L and R paths stay the former ones
+        ps, part = seeded_prop3_only(n, k, seed=[606, seed])
+        space = enumerate_states("permutations", n=n)
+        kernel = ClassTranspositionChain(ps, part)
+        logw = np.array([permcore.log_weight(s, ps) for s in space.states])
+        family = collect_canonical_paths(kernel, space)
+        assert set(family.direction) == {"L", "R", "N"}
+        inner = np.minimum.reduceat(logw[family.states], family.indptr[:-1])
+        assert (inner >= np.minimum(logw[family.x], logw[family.y]) - 1e-12).all()
+        assert family.length.max() <= 4 * n
+        former = _former_collect(kernel, space)
+        for k_, (*_, direction, states) in enumerate(former):
+            chunk = family.states[family.indptr[k_]:family.indptr[k_ + 1]]
+            if direction != "N":
+                assert chunk.tolist() == [space.index[s] for s in states]
 
     def test_weight_floor_holds_on_a_prop3_only_set(self):
         # weakly monotone by prop3 alone, and M_tk's acceptances stay <= 1
@@ -1032,19 +1157,20 @@ class TestCanonicalPaths:
         assert (report.prop1, report.prop2, report.prop3) == (True, False, True)
         space = enumerate_states("permutations", n=4)
         logw = {s: permcore.log_weight(s, ps) for s in space.states}
-        records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
-        assert {rec.path.direction for rec in records} == {"L", "R", "N"}
-        for rec in records:
-            floor = min(logw[rec.path.x], logw[rec.path.y]) - 1e-12
-            assert all(logw[s] >= floor for s in rec.path.states)
+        family = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
+        assert set(family.direction) == {"L", "R", "N"}
+        for x, y, _, states in family_paths(family, space):
+            floor = min(logw[x], logw[y]) - 1e-12
+            assert all(logw[s] >= floor for s in states)
 
     def test_n_edges_connect_equal_weights(self):
         ps, part = seeded_kclass(5, 2, seed=7)
         space = enumerate_states("permutations", n=5)
-        for rec in collect_canonical_paths(ClassTranspositionChain(ps, part), space):
-            if rec.path.direction == "N":
-                a = permcore.log_weight(rec.path.x, ps)
-                b = permcore.log_weight(rec.path.y, ps)
+        family = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
+        for x, y, direction, _ in family_paths(family, space):
+            if direction == "N":
+                a = permcore.log_weight(x, ps)
+                b = permcore.log_weight(y, ps)
                 assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -1053,10 +1179,10 @@ class TestCongestion:
         ps = uniform_set(3)
         part = ClassPartition(3, ())
         space = enumerate_states("permutations", n=3)
-        records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
+        family = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
         nn = build_matrix(AdjacentTranspositionChain(ps), space)
         pi = stationary_exact(nn)
-        report = congestion(nn, records, pi, space)
+        report = congestion(nn, family, pi, space)
         assert report.max_path_len == 1
         assert report.max_path_count == 1
         # every move has mass 1/(3n) = 1/9 over an edge of mass 1/(2(n-1)) = 1/4
@@ -1066,12 +1192,23 @@ class TestCongestion:
         for seed in range(2):
             ps, part = seeded_kclass(4, 2, seed=[505, seed])
             space = enumerate_states("permutations", n=4)
-            records = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
+            family = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
             nn = build_matrix(AdjacentTranspositionChain(ps), space)
             pi = stationary_exact(nn)
-            report = congestion(nn, records, pi, space)
+            report = congestion(nn, family, pi, space)
             assert report.max_path_count <= 12 * 4 ** 3
             assert report.max_path_len <= 4 * 4
+
+    @pytest.mark.parametrize("n, k, seed", [(4, 2, 0), (5, 3, 1), (6, 3, 2), (6, 4, 3)])
+    def test_congestion_is_the_former_accumulation(self, n, k, seed):
+        ps, part = seeded_kclass(n, k, seed=[525, seed])
+        space = enumerate_states("permutations", n=n)
+        kernel = ClassTranspositionChain(ps, part)
+        nn = build_csr(AdjacentTranspositionChain(ps), space)
+        pi = stationary_exact(nn)
+        report = congestion(nn, collect_canonical_paths(kernel, space), pi, space)
+        assert report == _former_congestion(nn.toarray(), _former_collect(kernel, space),
+                                            pi, space)
 
 
 class TestComparisonBound:

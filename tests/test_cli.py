@@ -21,8 +21,8 @@ PROP3_ONLY4 = {"type": "kclass", "n": 4, "boundaries": [2, 3],
                "q": {"(1,2)": "0.9111040520518441", "(1,3)": "0.7162309814285105",
                      "(2,3)": "0.5692436359493266"}}
 # also prop3-only, drawn in a seeded sweep of k-class sets (seed 20261018,
-# k in {2, 3}, n <= 5, q ~ U(0.51, 0.99)): some of its N paths dip below the
-# lighter endpoint's weight, so `paths` exits 3
+# k in {2, 3}, n <= 5, q ~ U(0.51, 0.99)): the unmirrored N construction
+# dips below the lighter endpoint's weight here
 PROP3_ONLY_DIP4 = {"type": "kclass", "n": 4, "boundaries": [1, 3],
                    "q": {"(1,2)": "0.8588055816129175", "(1,3)": "0.6526538898594639",
                          "(2,3)": "0.5459940440173697"}}
@@ -348,8 +348,6 @@ class TestExperiments:
             "out": str(tmp_path / "out")})
         assert cli.run(cfg) == 0
 
-    @pytest.mark.xfail(strict=True, reason="analysis._n_path dips below the lighter "
-                       "endpoint's weight on some sets weakly monotone by prop3 alone")
     def test_paths_on_a_prop3_only_set_stay_above_the_endpoint_weight(self, tmp_path):
         cfg = write_config(tmp_path, {
             "model": PROP3_ONLY_DIP4, "chain": "mtk", "experiment": "paths",

@@ -374,5 +374,25 @@ class TestMatrixBudget:
             build_from_weights(WeightVector.from_strings(["1"] * 40))
 
     def test_matrix_at_the_bound_is_built(self, monkeypatch):
-        monkeypatch.setattr(model, "_physical_memory", lambda: 8 * 40 * 40)
+        # the bound is half of physical memory
+        monkeypatch.setattr(model, "_physical_memory", lambda: 2 * 8 * 40 * 40)
         assert uniform_set(40).p.shape == (40, 40)
+        monkeypatch.setattr(model, "_physical_memory", lambda: 2 * 8 * 40 * 40 - 1)
+        with pytest.raises(BudgetExceededError, match="half the"):
+            uniform_set(40)
+
+    def test_n_30000_is_refused_on_a_7_84_gib_host(self, monkeypatch):
+        # 8 * 30000^2 = 7.2e9 bytes fits below 7.84 GiB but not below half
+        # of it; should the check let it through, the fill fails here
+        # instead of allocating 7.2 GB
+        def entries():
+            raise AssertionError("entries read before the memory check")
+            yield
+
+        def no_fill(*args, **kwargs):
+            raise AssertionError("the matrix was allocated")
+
+        monkeypatch.setattr(model, "_physical_memory", lambda: 7.84 * 2**30)
+        monkeypatch.setattr(model.np, "full", no_fill)
+        with pytest.raises(BudgetExceededError, match="half the 7.8 GiB"):
+            model._pairwise(30_000, entries())
