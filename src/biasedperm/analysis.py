@@ -8,9 +8,9 @@ as it is and accept a dense array by converting it with ``sp.csr_matrix``;
 so does ``verify_decomposition``, which slices each block's rows and
 columns out of the CSR as small dense arrays.  ``build_matrix`` is the
 dense form, for callers that want one.  Besides the laws of the
-worst-start TV scan, the only n x n array this allocates is the linear
-system of ``stationary_exact`` (and, up to ``dense_cutoff`` states, the
-symmetrized matrix of ``spectral_gap``).
+worst-start TV scan, the only n x n arrays this allocates are the matrix
+``build_matrix`` returns, the linear system of ``stationary_exact`` and,
+up to ``dense_cutoff`` states, the symmetrized matrix of ``spectral_gap``.
 Eigenvalues are always computed on the symmetrized reversible form
 D^(1/2) P D^(-1/2); reversibility is asserted first via the
 detailed-balance scan, which keeps spectra real and matches the

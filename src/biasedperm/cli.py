@@ -8,8 +8,16 @@ budget and output directory, plus a timestamp).  The timestamp is the
 only non-deterministic output: the same config and seed always produce
 byte-identical CSVs.
 
-Exit codes: 0 success, 1 validation error, 2 budget exceeded,
-3 property violation detected.  Diagnostics go to standard error.
+Handlers only compute: they parse their fields, call ``analysis`` and
+hand back raw values, with None for an empty cell.  ``_Run`` fills in the
+results row's experiment and parameter hash, the writer formats every
+cell, and ``run_config`` turns a refusal into its exit code.
+
+Exit codes: 0 success, 1 validation error (a malformed config, a negative
+seed, an output directory that cannot be written), 2 budget exceeded,
+3 property violation detected.  A property violation, or a scaling sweep
+cut short by the budget, is reported after the outputs are written.
+Diagnostics go to standard error, one ``<label>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import csv
 import datetime
 import hashlib
 import json
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -35,25 +44,16 @@ ALLOWED_KEYS = {"model", "chain", "experiment", "epsilon", "tmax", "sizes",
                 "metric", "family", "bias", "n1", "n0", "trials",
                 "fix_classes", "count", "n", "seed", "budget", "out"}
 
-EXPERIMENTS = ("stationary", "balance", "gap", "tv", "mix", "decompose",
-               "paths", "congestion", "hitting", "scaling", "fill-check")
-
 BALANCE_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 
 
 def _fmt(value) -> str:
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def _result_row(experiment, *, n="", parameter_hash="", gap="", tau="", A="",
-                max_path_len="", max_congestion="", slack=""):
-    return [_fmt(v) for v in (experiment, n, parameter_hash, gap, tau, A,
-                              max_path_len, max_congestion, slack)]
 
 
 def _parameter_hash(cfg: dict) -> str:
@@ -91,13 +91,21 @@ class _Run:
         self.out_dir = out_dir
         self.seed = seed
         self.budget = budget
-        self.results: list[list[str]] = []
+        self.results: list[list] = []
         self.detail_header: list[str] = []
-        self.detail: list[list[str]] = []
+        self.detail: list[list] = []
         self.summary: list[str] = []
-        self.violation: str | None = None
-        self.partial_budget_error = None
+        # raised once the outputs are written: a property violation, or a
+        # budget that cut a scaling sweep short
+        self.deferred: PropertyViolationError | BudgetExceededError | None = None
         self.hash = _parameter_hash(dict(cfg, seed=seed, budget=budget))
+
+    def result(self, n, **columns):
+        """Append a results row: the experiment, n, the parameter hash and
+        the named columns; the columns not named stay empty."""
+        row = dict(experiment=self.cfg["experiment"], n=n, parameter_hash=self.hash,
+                   **columns)
+        self.results.append([row.get(c) for c in RESULT_COLUMNS])
 
     def build_chain(self, chain=None):
         chain = chain if chain is not None else self.cfg.get("chain")
@@ -142,10 +150,9 @@ def load_config(path) -> dict:
     unknown = set(cfg) - ALLOWED_KEYS
     if unknown:
         raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-    if cfg.get("experiment") not in EXPERIMENTS:
-        raise ValidationError(
-            f"config needs \"experiment\", one of {', '.join(EXPERIMENTS)}"
-        )
+    if not isinstance(cfg.get("experiment"), str) or cfg["experiment"] not in HANDLERS:
+        raise ValidationError("config needs \"experiment\", one of "
+                              + ", ".join(HANDLERS))
     return cfg
 
 
@@ -162,39 +169,35 @@ def _exp_stationary(run: _Run):
                                           getattr(kernel, "partition", None))
     diff = float(np.abs(exact - formula).max())
     run.detail_header = ["state", "pi_exact", "pi_formula"]
-    for idx, state in enumerate(space.states):
-        run.detail.append([_state_str(state, space.kind), _fmt(float(exact[idx])),
-                           _fmt(float(formula[idx]))])
-    run.results.append(_result_row("stationary", n=len(space.states[0]),
-                                   parameter_hash=run.hash))
+    run.detail += [[_state_str(state, space.kind), pi_x, pi_f]
+                   for state, pi_x, pi_f in zip(space.states, exact, formula)]
+    run.result(len(space.states[0]))
     run.summary += [f"states: {len(space)}", f"max |exact - formula|: {diff:.3e}"]
     if diff > STATIONARY_TOL:
-        run.violation = f"stationary distributions disagree by {diff} > {STATIONARY_TOL}"
+        run.deferred = PropertyViolationError(
+            f"stationary distributions disagree by {diff} > {STATIONARY_TOL}")
 
 
 def _exp_balance(run: _Run):
     space, matrix, pi = run.solve(run.build_chain())
     report = analysis.check_detailed_balance(matrix, pi)
     run.detail_header = ["max_violation", "state_x", "state_y"]
-    run.detail.append([_fmt(report.max_violation),
+    run.detail.append([report.max_violation,
                        _state_str(space.states[report.row], space.kind),
                        _state_str(space.states[report.col], space.kind)])
-    run.results.append(_result_row("balance", n=len(space.states[0]),
-                                   parameter_hash=run.hash))
+    run.result(len(space.states[0]))
     run.summary.append(f"max detailed-balance violation: {report.max_violation:.3e}")
     if report.max_violation > BALANCE_TOL:
-        run.violation = (
-            f"detailed balance violated by {report.max_violation} > {BALANCE_TOL}"
-        )
+        run.deferred = PropertyViolationError(
+            f"detailed balance violated by {report.max_violation} > {BALANCE_TOL}")
 
 
 def _exp_gap(run: _Run):
     space, matrix = run.build(run.build_chain())
     gap = analysis.spectral_gap(matrix)
     run.detail_header = ["states", "gap", "relaxation_time"]
-    run.detail.append([str(len(space)), _fmt(gap), _fmt(1.0 / gap)])
-    run.results.append(_result_row("gap", n=len(space.states[0]),
-                                   parameter_hash=run.hash, gap=gap))
+    run.detail.append([len(space), gap, 1.0 / gap])
+    run.result(len(space.states[0]), gap=gap)
     run.summary.append(f"spectral gap: {gap:.6g}")
 
 
@@ -221,10 +224,8 @@ def _exp_tv(run: _Run):
     # operator with np.count_nonzero, which refuses sparse input
     curve = analysis.tv_curve(matrix.toarray(), pi, tmax)
     run.detail_header = ["t", "tv_distance"]
-    for t, value in enumerate(curve):
-        run.detail.append([str(t), _fmt(float(value))])
-    run.results.append(_result_row("tv", n=len(space.states[0]),
-                                   parameter_hash=run.hash))
+    run.detail += [[t, value] for t, value in enumerate(curve)]
+    run.result(len(space.states[0]))
     run.summary.append(f"tv({tmax}) = {curve[-1]:.6g}")
 
 
@@ -236,9 +237,8 @@ def _exp_mix(run: _Run):
     # dense for the scan, as in _exp_tv
     tau = analysis.mixing_time_exact(matrix.toarray(), pi, eps, tmax)
     run.detail_header = ["epsilon", "tau"]
-    run.detail.append([_fmt(eps), str(tau)])
-    run.results.append(_result_row("mix", n=len(space.states[0]),
-                                   parameter_hash=run.hash, tau=tau))
+    run.detail.append([eps, tau])
+    run.result(len(space.states[0]), tau=tau)
     run.summary.append(f"mixing time tau({eps:g}) = {tau}")
 
 
@@ -262,18 +262,16 @@ def _exp_decompose(run: _Run):
     report = analysis.verify_decomposition(matrix, pi, blocks)
     run.detail_header = ["gap_full", "gap_projection", "min_restriction_gap",
                          "slack", "blocks"]
-    run.detail.append([_fmt(report.gap_full), _fmt(report.gap_projection),
-                       _fmt(report.min_restriction_gap), _fmt(report.slack),
-                       str(len(blocks))])
-    run.results.append(_result_row("decompose", n=len(space.states[0]),
-                                   parameter_hash=run.hash, gap=report.gap_full,
-                                   slack=report.slack))
+    run.detail.append([report.gap_full, report.gap_projection,
+                       report.min_restriction_gap, report.slack, len(blocks)])
+    run.result(len(space.states[0]), gap=report.gap_full, slack=report.slack)
     run.summary.append(
         f"gap {report.gap_full:.6g} >= 1/2 * {report.gap_projection:.6g} * "
         f"{report.min_restriction_gap:.6g} (slack {report.slack:.6g})"
     )
     if not report.holds:
-        run.violation = f"decomposition inequality violated, slack {report.slack}"
+        run.deferred = PropertyViolationError(
+            f"decomposition inequality violated, slack {report.slack}")
 
 
 def _mtk_kernel(run: _Run):
@@ -297,18 +295,19 @@ def _exp_paths(run: _Run):
     run.detail_header = ["direction", "paths", "max_len"]
     for direction in np.unique(family.direction):
         lengths = family.length[family.direction == direction]
-        run.detail.append([str(direction), str(len(lengths)), str(lengths.max())])
-    run.results.append(_result_row("paths", n=n, parameter_hash=run.hash,
-                                   max_path_len=max_len))
+        run.detail.append([direction, len(lengths), lengths.max()])
+    run.result(n, max_path_len=max_len)
     run.summary += [
         f"paths: {len(family)}",
         f"max path length: {max_len} (bound 4n = {4 * n})",
         f"min (inner - endpoint) log-weight margin: {floor_margin:.3e}",
     ]
     if max_len > 4 * n:
-        run.violation = f"a path of length {max_len} exceeds 4n = {4 * n}"
+        run.deferred = PropertyViolationError(
+            f"a path of length {max_len} exceeds 4n = {4 * n}")
     elif floor_margin < -1e-9:
-        run.violation = f"a path dips {floor_margin} below its endpoint weight"
+        run.deferred = PropertyViolationError(
+            f"a path dips {floor_margin} below its endpoint weight")
 
 
 def _exp_congestion(run: _Run):
@@ -327,38 +326,32 @@ def _exp_congestion(run: _Run):
     }
     run.detail_header = ["A", "max_congestion", "max_path_len", "edge_z", "edge_w"]
     zstate, wstate = report.argmax_edge
-    run.detail.append([_fmt(report.constant), str(report.max_path_count),
-                       str(report.max_path_len), _state_str(zstate, space.kind),
-                       _state_str(wstate, space.kind)])
-    run.results.append(_result_row("congestion", n=n, parameter_hash=run.hash,
-                                   A=report.constant,
-                                   max_path_len=report.max_path_len,
-                                   max_congestion=report.max_path_count))
+    run.detail.append([report.constant, report.max_path_count, report.max_path_len,
+                       _state_str(zstate, space.kind), _state_str(wstate, space.kind)])
+    run.result(n, A=report.constant, max_path_len=report.max_path_len,
+               max_congestion=report.max_path_count)
     run.summary.append(f"A = {report.constant:.6g}, max |Gamma(z,w)| = "
                        f"{report.max_path_count} (12n^3 = {12 * n**3})")
     for label, value in bounds.items():
         run.summary.append(f"A <= {label} = {value:.6g}: {report.constant <= value}")
     if report.max_path_count > 12 * n**3:
-        run.violation = (
-            f"congestion {report.max_path_count} exceeds 12n^3 = {12 * n**3}"
-        )
+        run.deferred = PropertyViolationError(
+            f"congestion {report.max_path_count} exceeds 12n^3 = {12 * n**3}")
 
 
 def _exp_hitting(run: _Run):
-    for key in ("bias", "n1", "n0", "trials"):
-        if key not in run.cfg:
-            raise ValidationError(f"hitting needs \"{key}\"")
-    bias = kernels.make_bias(run.cfg["bias"])
-    n1 = model.parse_int(run.cfg["n1"], "n1")
-    n0 = model.parse_int(run.cfg["n0"], "n0")
+    kernel = run.build_chain("me")
+    if "trials" not in run.cfg:
+        raise ValidationError("hitting needs \"trials\"")
     trials = model.parse_int(run.cfg["trials"], "trials")
-    summary = exclusion.hitting_time_to_top(bias, n1, n0, trials, run.seed)
+    summary = exclusion.hitting_time_to_top(kernel.bias, kernel.n1, kernel.n0, trials,
+                                            run.seed)
     run.detail_header = ["row_type", "trial", "steps", "mean", "max", "area", "ratio"]
-    for idx, steps in enumerate(summary.trials):
-        run.detail.append(["trial", str(idx), str(steps), "", "", "", ""])
-    run.detail.append(["summary", "", "", _fmt(summary.mean), str(summary.max),
-                       str(summary.area), _fmt(summary.normalized_mean)])
-    run.results.append(_result_row("hitting", n=n1 + n0, parameter_hash=run.hash))
+    run.detail += [["trial", idx, steps, None, None, None, None]
+                   for idx, steps in enumerate(summary.trials)]
+    run.detail.append(["summary", None, None, summary.mean, summary.max, summary.area,
+                       summary.normalized_mean])
+    run.result(kernel.n1 + kernel.n0)
     run.summary += [
         f"trials: {trials}",
         f"mean hitting time: {summary.mean:.6g}",
@@ -394,9 +387,12 @@ def _scaling_family(run: _Run):
 
 def _exp_scaling(run: _Run):
     sizes = run.cfg.get("sizes")
-    if not isinstance(sizes, list) or len(sizes) < 3:
-        raise ValidationError("scaling needs a \"sizes\" list with at least 3 sizes")
+    if not isinstance(sizes, list):
+        sizes = []
     sizes = [model.parse_int(s, "a size") for s in sizes]
+    if len(set(sizes)) < 3:
+        raise ValidationError(
+            "scaling needs a \"sizes\" list with at least 3 distinct sizes")
     metric = run.cfg.get("metric", "relaxation")
     if metric not in ("relaxation", "mix"):
         raise ValidationError("metric must be \"relaxation\" or \"mix\"")
@@ -404,7 +400,6 @@ def _exp_scaling(run: _Run):
     family = _scaling_family(run)
 
     values = []
-    partial_error = None
     for size in sorted(sizes):
         try:
             space, matrix = run.build(family(size))
@@ -412,30 +407,24 @@ def _exp_scaling(run: _Run):
                 raise ValidationError(f"scaling size {size} has a one-state space")
             if metric == "relaxation":
                 value = 1.0 / analysis.spectral_gap(matrix)
-                run.results.append(_result_row("scaling", n=size,
-                                               parameter_hash=run.hash,
-                                               gap=1.0 / value))
+                run.result(size, gap=1.0 / value)
             else:
                 pi = analysis.stationary_exact(matrix)
-                value = float(analysis.mixing_time_exact(matrix, pi, eps))
-                run.results.append(_result_row("scaling", n=size,
-                                               parameter_hash=run.hash, tau=value))
+                value = analysis.mixing_time_exact(matrix, pi, eps)
+                run.result(size, tau=value)
             values.append((size, value))
         except BudgetExceededError as exc:
-            partial_error = exc
+            run.deferred = exc
             break
     run.detail_header = ["row_type", "size", "value", "slope", "intercept",
                          "max_residual"]
-    for size, value in values:
-        run.detail.append(["size", str(size), _fmt(value), "", "", ""])
-    if partial_error is None:
+    run.detail += [["size", size, value, None, None, None] for size, value in values]
+    if run.deferred is None:
         fit = analysis.fit_loglog([s for s, _ in values], [v for _, v in values])
-        run.detail.append(["fit", "", "", _fmt(fit.slope), _fmt(fit.intercept),
-                           _fmt(fit.max_residual)])
+        run.detail.append(["fit", None, None, fit.slope, fit.intercept, fit.max_residual])
         run.summary.append(f"log-log slope: {fit.slope:.4f} over sizes {sorted(sizes)}")
     else:
-        run.summary.append(f"sweep stopped early: {partial_error}")
-        run.partial_budget_error = partial_error
+        run.summary.append(f"sweep stopped early: {run.deferred}")
 
 
 def _exp_fill_check(run: _Run):
@@ -446,16 +435,13 @@ def _exp_fill_check(run: _Run):
     violations, gaps, uniform_gap = analysis.fill_spot_check(n, count, run.seed,
                                                              budget=run.budget)
     run.detail_header = ["instance", "gap", "uniform_gap", "ok"]
-    for idx, gap in enumerate(gaps):
-        run.detail.append([str(idx), _fmt(gap), _fmt(uniform_gap),
-                           str(idx not in violations)])
-    run.results.append(_result_row("fill-check", n=n, parameter_hash=run.hash,
-                                   gap=uniform_gap))
+    run.detail += [[idx, gap, uniform_gap, idx not in violations]
+                   for idx, gap in enumerate(gaps)]
+    run.result(n, gap=uniform_gap)
     run.summary.append(f"violations: {len(violations)}")
     if violations:
-        run.violation = (
-            f"{len(violations)} instances have a smaller gap than the uniform chain"
-        )
+        run.deferred = PropertyViolationError(
+            f"{len(violations)} instances have a smaller gap than the uniform chain")
 
 
 HANDLERS = {
@@ -477,25 +463,36 @@ HANDLERS = {
 # output writing and entry points
 
 
+def _write_csv(path: Path, header: list[str], rows: list[list]):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
 def _write_outputs(run: _Run):
-    run.out_dir.mkdir(parents=True, exist_ok=True)
-    with open(run.out_dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        writer.writerows(run.results)
-    with open(run.out_dir / "detail.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(run.detail_header or ["empty"])
-        writer.writerows(run.detail)
     echo = {
         "config": run.cfg,
         "resolved": {"seed": run.seed, "budget": run.budget,
                      "out": str(run.out_dir)},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(run.out_dir / "config_echo.json", "w") as fh:
-        json.dump(echo, fh, indent=2)
-        fh.write("\n")
+    try:
+        run.out_dir.mkdir(parents=True, exist_ok=True)
+        _write_csv(run.out_dir / "results.csv", RESULT_COLUMNS, run.results)
+        _write_csv(run.out_dir / "detail.csv", run.detail_header or ["empty"], run.detail)
+        with open(run.out_dir / "config_echo.json", "w") as fh:
+            json.dump(echo, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write the outputs to {run.out_dir}: {exc}") from exc
+
+
+def _refused(exc) -> int:
+    """Report a refusal on standard error; its class holds the exit code."""
+    print(f"{exc.label}: {exc}", file=sys.stderr)
+    return exc.exit_code
 
 
 def run_config(cfg: dict, out_dir=None, seed=None, budget=None, quiet=False) -> int:
@@ -503,35 +500,26 @@ def run_config(cfg: dict, out_dir=None, seed=None, budget=None, quiet=False) -> 
     try:
         resolved_seed = model.parse_int(seed if seed is not None else cfg.get("seed", 0),
                                         "seed")
+        if resolved_seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {resolved_seed}")
         resolved_budget = model.parse_int(budget if budget is not None else
                                           cfg.get("budget", analysis.DEFAULT_BUDGET),
                                           "budget")
-        resolved_out = Path(out_dir if out_dir is not None else
-                            cfg.get("out", "results"))
-        job = _Run(cfg, resolved_out, resolved_seed, resolved_budget)
+        resolved_out = out_dir if out_dir is not None else cfg.get("out", "results")
+        if not isinstance(resolved_out, (str, os.PathLike)):
+            raise ValidationError(f"\"out\" must be a path string, got {resolved_out!r}")
+        job = _Run(cfg, Path(resolved_out), resolved_seed, resolved_budget)
         HANDLERS[cfg["experiment"]](job)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 2
-    except PropertyViolationError as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return 3
-
-    _write_outputs(job)
-    if not quiet:
-        print(f"experiment: {cfg['experiment']}")
-        for line in job.summary:
-            print(line)
-        print(f"wrote {job.out_dir / 'results.csv'}")
-    if job.partial_budget_error is not None:
-        print(f"budget exceeded: {job.partial_budget_error}", file=sys.stderr)
-        return 2
-    if job.violation is not None:
-        print(f"property violation: {job.violation}", file=sys.stderr)
-        return 3
+        _write_outputs(job)
+        if not quiet:
+            print(f"experiment: {cfg['experiment']}")
+            for line in job.summary:
+                print(line)
+            print(f"wrote {job.out_dir / 'results.csv'}")
+        if job.deferred is not None:
+            raise job.deferred
+    except (ValidationError, BudgetExceededError, PropertyViolationError) as exc:
+        return _refused(exc)
     return 0
 
 
@@ -540,8 +528,7 @@ def run(config_path, out_dir=None, seed=None, budget=None, quiet=False) -> int:
     try:
         cfg = load_config(config_path)
     except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _refused(exc)
     return run_config(cfg, out_dir=out_dir, seed=seed, budget=budget, quiet=quiet)
 
 

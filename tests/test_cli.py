@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -183,17 +184,35 @@ MALFORMED = {
         "chain": "mtree", "experiment": "stationary"},
     "scaling-sizes-repeated": {"chain": "mnn", "family": "uniform",
                                "experiment": "scaling", "sizes": [3, 3, 3]},
+    "out-number": {"model": UNIFORM3, "chain": "mnn", "experiment": "gap", "out": 5},
+    "seed-negative": {"experiment": "fill-check", "n": 3, "count": 2, "seed": -1},
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
-def test_malformed_value_exits_1_with_a_message(tmp_path, capsys, name):
-    # in process, a traceback would be an exception escaping cli.run
-    cfg = write_config(tmp_path, dict(MALFORMED[name], out=str(tmp_path / "out")))
+def test_malformed_value_exits_1_with_a_message(tmp_path, capsys, monkeypatch, name):
+    # in process, a traceback would be an exception escaping cli.run; every
+    # malformed value is refused before a chain is built
+    def no_build(kernel, space):
+        raise AssertionError("the chain was built")
+
+    monkeypatch.setattr(analysis, "build_csr", no_build)
+    cfg = write_config(tmp_path, dict({"out": str(tmp_path / "out")}, **MALFORMED[name]))
     assert cli.run(cfg) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_an_existing_file_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write_config(tmp_path, {"model": UNIFORM3, "chain": "mnn", "experiment": "gap"})
+    assert cli.run(cfg, out_dir=taken) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the outputs to ") and err.count("\n") == 1
+    assert taken.read_text() == ""
 
 
 @pytest.mark.parametrize("experiment,extra", [("hitting", {"trials": 3}),
@@ -460,6 +479,104 @@ class TestDeterminism:
         assert cli.run(cfg, out_dir=tmp_path / "o1", seed=77) == 0
         echo = json.loads((tmp_path / "o1" / "config_echo.json").read_text())
         assert echo["resolved"]["seed"] == 77
+
+
+KCLASS4_3 = {"type": "kclass", "n": 4, "boundaries": [1, 2],
+             "q": {"(1,2)": "0.7", "(1,3)": "0.8", "(2,3)": "0.75"}}
+LEAGUE4 = {"type": "league", "tree": {
+    "node": "A", "children": [{"node": "B", "children": [1, 2], "q": {"(1,2)": "0.7"}},
+                              3, 4],
+    "q": {"(1,2)": "0.8", "(1,3)": "0.9", "(2,3)": "0.6"}}}
+# name -> (config, exit code, sha256 of results.csv, sha256 of detail.csv);
+# the digests pin every CSV byte, including the sizes no benchmark runs
+GOLDEN = {
+    "stationary-mnn": (
+        {"model": KCLASS4, "chain": "mnn", "experiment": "stationary"},
+        0, "aa7497d45479c40b91b5dbb751dfceae0d0c82fa1db50850e5f7f28b97cd2d52",
+        "ab0ca5bccdbbeaf9148a7bb55a18be15581be73c9ed357af171e6a84342a7048"),
+    "stationary-mtree": (
+        {"model": LEAGUE4, "chain": "mtree", "experiment": "stationary"},
+        0, "96aba06f341cc92fa536527f3caed7c02f187b77ffebb027141aa40d612446f0",
+        "3d667fd3c48829a89104c1c2af82caaa475a1fa006a0f48eedeb5cb34fd15e45"),
+    "stationary-mk1": (
+        {"model": KCLASS4_3, "chain": "mk1", "experiment": "stationary"},
+        0, "bec72c20a3a58d93ac916d70703ba346172b883f401f61dcd22b1499f62d4422",
+        "7190f658efe525cf674255f2f966a792f7c072d78145a4540e7ba8b0dc20f5b9"),
+    "balance-mtk": (
+        {"model": KCLASS4, "chain": "mtk", "experiment": "balance"},
+        0, "704beb666e489775c993ec729e55f4df8fab0af85cc621a37a7cbdde4c957ef9",
+        "842f378bbb8762533105dea9e23b65730c0bc4bed054765b80b82879ae570f36"),
+    "balance-word-hash": (
+        {"chain": "me", "bias": "word-hash", "n1": 2, "n0": 2,
+         "experiment": "balance"},
+        3, "1dc17290bc09ccf7df0deaab5913a155491355452d9ab68fcfac70855266379b",
+        "59366d1419218c7c041dee5bf0ab2aa426414b8b6ccb62e305d015cf8f0e7665"),
+    "gap-weights": (
+        {"model": {"type": "weights", "w": ["4", "3", "2", "1"]}, "chain": "mnn",
+         "experiment": "gap"},
+        0, "438b52ff07dd0fa8321dc34fa4c0174af96c680e50197c36e6e4491270804a6f",
+        "1c9c2d657ce54a3ab5bf04c6b76a0ab6bdbcc8643cb2c8a6dbb48bd4d013072d"),
+    "tv-me": (
+        {"chain": "me", "bias": "constant:0.75", "n1": 3, "n0": 3, "experiment": "tv",
+         "tmax": 8},
+        0, "8bee78d49a50943893a09e8cf9312f5677022baf7a6185cc1beceb22865b90ec",
+        "b92ddcc6444b75d9ea12c0713a6d4d8177697caaeff3d7858add3293c446bef2"),
+    "mix-mpp": (
+        {"model": KCLASS4_3, "chain": "mpp", "experiment": "mix", "epsilon": "0.25"},
+        0, "0c4ce3636fbc39cda6607d50e7842d43cd3e285eaec8ca6cf6310cbdc23e1834",
+        "faf04e818bb22891bb4973e89a4848b743b35129a2dfc2e80305774062034d75"),
+    "decompose-mk1": (
+        {"model": KCLASS4_3, "chain": "mk1", "experiment": "decompose",
+         "fix_classes": [1]},
+        0, "46047007e1d0c3134f10d43303839015e1f6d5b6953f8839ab43c0d3c67dc2d6",
+        "2b0a61d53fff04a7930616970ecb34718f444ed09d6fe23d8b105201c6fe88a7"),
+    "paths-mtk": (
+        {"model": KCLASS4, "chain": "mtk", "experiment": "paths"},
+        0, "bd1cf49111e0b3189ff7933a8314b74529fecadbe5e5b08f0a3aab4977b3971d",
+        "16e88bc5c034f5db7dd93e20075080e83f4a84fc08bdc4f192235657e41ee90b"),
+    "congestion-mtk": (
+        {"model": KCLASS4_3, "chain": "mtk", "experiment": "congestion"},
+        0, "4ecc136b357a9d2656eb75bcb08c3741cd5082ab906c6771fc967c3739cb4723",
+        "cf8ed6b9d0d0145f690f825b096aad87e35663733b61d27557b1776c801052d1"),
+    "hitting-me": (
+        {"chain": "me", "bias": "constant:0.75", "n1": 2, "n0": 3,
+         "experiment": "hitting", "trials": 5, "seed": 3},
+        0, "a1f1192b1c2971a30982c772da2e746192a7cf6cf46cd13839e0c10b42cd45a7",
+        "d9ae2e5db8a36a49d2aa62e317362117c6c59e26d85e3cf83f99ef689e3cb23c"),
+    "scaling-relaxation": (
+        {"chain": "mnn", "family": "uniform", "experiment": "scaling",
+         "sizes": [3, 4, 5]},
+        0, "5cb78ff85f9e8d52eb815ca76b60d558f8f1bb9f3dec9eb6b23b4a27d2d826db",
+        "4a66c2920183d1daa19f0716ed6f86aaf02abd322c106c79539f045725441ceb"),
+    "scaling-mix-me": (
+        {"chain": "me", "family": "constant:0.75", "experiment": "scaling",
+         "metric": "mix", "sizes": [2, 4, 6]},
+        0, "c972b9ff5bc13d353148f72766e1e6e723171ddc23cff76ddd7f03cfe2cfb68a",
+        "3ef360fea7581fa995686642c398b1f602c0d3d0370f196b9207a600079555a8"),
+    "scaling-partial": (
+        {"chain": "mnn", "family": "uniform", "experiment": "scaling",
+         "sizes": [3, 4, 5], "budget": 30},
+        2, "48be4922d93b8d939b78828254d5c4a71903a46750e3e71e9e1704384137b4ab",
+        "32ef38cbecdc29e8c3de86ac4e13799856d55c2948b5c737e778516e09569220"),
+    "fill-check": (
+        {"experiment": "fill-check", "n": 3, "count": 4, "seed": 1},
+        0, "a5171e00ef78e540acb4f8d79b9233c26eb1dbf1fc577fcdca992446c483a9b4",
+        "977a8799a6173cf3cb827693e3c0b26f09c947d4940575085c368d7feaafc40c"),
+}
+GOLDEN_STDERR = {
+    "balance-word-hash": "property violation: detailed balance violated by "
+                         "0.0012975794813063005 > 1e-12\n",
+    "scaling-partial": "budget exceeded: 120 states exceed the budget of 30\n",
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_csv_bytes_match_the_recorded_digests(tmp_path, capsys, name):
+    cfg, code, results_sha, detail_sha = GOLDEN[name]
+    assert cli.run_config(cfg, out_dir=tmp_path, quiet=True) == code
+    assert capsys.readouterr().err == GOLDEN_STDERR.get(name, "")
+    for csv_name, digest in (("results.csv", results_sha), ("detail.csv", detail_sha)):
+        assert hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest() == digest
 
 
 class TestMain:
