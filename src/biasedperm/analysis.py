@@ -303,7 +303,7 @@ def stationary_formula(space: StateSpace, prob_set: ProbabilitySet,
     normalized with the max subtracted, so underflow is not a concern.
     """
     if space.kind == "permutations":
-        logs = np.array([permcore.log_weight(s, prob_set) for s in space.states])
+        logs = permcore.log_weights(space.states, prob_set)
     elif space.kind == "words":
         if partition is None:
             raise ValidationError("word spaces need the class partition")
@@ -872,11 +872,9 @@ def canonical_path(kernel: ClassTranspositionChain, x, y, direction: str) -> Can
             f"{x} -> {y} is not a direction-{direction} move of the transposition chain"
         )
     shape = _path_shape(kernel.classes(x), i, j, direction, _mirrored(kernel))
-    cur = list(x)
     states = [x]
     for p in shape:
-        cur[p - 1], cur[p] = cur[p], cur[p - 1]
-        states.append(tuple(cur))
+        states.append(permcore.transpose(states[-1], p, p + 1))
     if states[-1] != y:
         raise PropertyViolationError(f"path construction ended at {states[-1]} instead of {y}")
     return CanonicalPath(x=x, y=y, direction=direction, states=tuple(states),
@@ -1092,6 +1090,8 @@ def gap_scaling(family, sizes, budget: int = DEFAULT_BUDGET) -> ScalingFit:
     ``family`` maps a size to a kernel; the kernel's natural space is
     enumerated within the budget, and must have more than one state.
     """
+    if len(set(sizes)) < len(sizes):
+        raise ValidationError(f"scaling sizes must not repeat, got {list(sizes)}")
     values = []
     for size in sizes:
         kernel = family(size)

@@ -287,7 +287,7 @@ def _exp_paths(run: _Run):
     kernel = _mtk_kernel(run)
     space = analysis.space_for_kernel(kernel, budget=run.budget)
     family = analysis.collect_canonical_paths(kernel, space)
-    logw = np.array([permcore.log_weight(s, kernel.prob_set) for s in space.states])
+    logw = permcore.log_weights(space.states, kernel.prob_set)
     inner = np.minimum.reduceat(logw[family.states], family.indptr[:-1])
     floor_margin = (inner - np.minimum(logw[family.x], logw[family.y])).min()
     n = len(space.states[0])
@@ -390,9 +390,9 @@ def _exp_scaling(run: _Run):
     if not isinstance(sizes, list):
         sizes = []
     sizes = [model.parse_int(s, "a size") for s in sizes]
-    if len(set(sizes)) < 3:
-        raise ValidationError(
-            "scaling needs a \"sizes\" list with at least 3 distinct sizes")
+    if len(sizes) < 3 or len(set(sizes)) < len(sizes):
+        raise ValidationError(f"scaling needs a \"sizes\" list of at least 3 sizes, "
+                              f"none repeated, got {sizes}")
     metric = run.cfg.get("metric", "relaxation")
     if metric not in ("relaxation", "mix"):
         raise ValidationError("metric must be \"relaxation\" or \"mix\"")

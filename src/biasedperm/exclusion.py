@@ -22,6 +22,7 @@ import numpy as np
 from .errors import BudgetExceededError, ValidationError
 from .kernels import (GeneralizedExclusionChain, _check_square_region, sample_step,
                       square_of)
+from .permcore import transpose
 
 RIGHT = "R"
 DOWN = "D"
@@ -163,9 +164,7 @@ def _boundedness_over(words, bias, exact: bool) -> BiasReport:
     for word in words:
         for i in range(1, len(word)):
             if word[i - 1] == 1 and word[i] == 0:
-                swapped = list(word)
-                swapped[i - 1], swapped[i] = 0, 1
-                ratio = bias(word, i) / bias(tuple(swapped), i)
+                ratio = bias(word, i) / bias(transpose(word, i, i + 1), i)
                 if best is None or ratio < best[0]:
                     best = (ratio, word, i)
     if best is None:

@@ -6,11 +6,13 @@ probability, with the self-loop entry included so each row sums to exactly
 one.  Enumeration is the primitive; sampling (:func:`sample_step`) is
 derived from it, which keeps row-stochasticity directly testable.
 
-The nearest-neighbour chains share one adjacent-swap rule
-(:func:`_swap_row`): a position 1 <= i < n is chosen uniformly and, if the
-items at i and i+1 differ, they are exchanged with a pair probability.
-M_nn reads it from the pairwise matrix, M_pp from the class-pair table and
-M_e from the bias callback.  The class chains (M_tk, M_k1, M_pp) share
+Every chain is a transposition chain: a kernel lists its (i, j, mass)
+transpositions from a state and one builder (:func:`_transposition_row`)
+makes the row.  M_nn, M_pp and M_e list theirs by one adjacent-swap rule
+(:func:`_adjacent_moves`): a position 1 <= i < n is chosen uniformly and,
+if the items at i and i+1 differ, they are exchanged with a pair
+probability, read from the pairwise matrix, the class-pair table or the
+bias callback.  The class chains (M_tk, M_k1, M_pp) share
 :class:`_ClassChain`, which resolves their class-pair table once, when the
 kernel is built, and reads the classes of a state by position from a
 class-label word (M_k1 and M_pp) or through the partition (M_tk).  M_tk's
@@ -37,7 +39,7 @@ from pathlib import Path
 from .errors import PropertyViolationError, ValidationError
 from .model import (ClassPartition, ProbabilitySet, _parse_pair_key, parse_int, parse_real,
                     validate_kclass)
-from .permcore import project, validate_permutation
+from .permcore import project, transpose, validate_permutation
 from . import treerep
 
 
@@ -45,35 +47,39 @@ from . import treerep
 # shared move mechanics
 
 
-def _finish_row(state, targets: dict) -> dict:
-    total = math.fsum(targets.values())
+def _transposition_row(state: tuple, moves) -> dict:
+    """The row of a transposition chain.
+
+    ``moves`` lists the chain's transpositions from ``state`` as (i, j,
+    mass) triples, exchanging 1-based positions i and j; no two reach the
+    same state and none leaves it unchanged.  The self-loop takes the rest
+    of the unit mass, and a total above one is refused.
+    """
+    # loops, here and in _adjacent_moves: at a row's few moves CPython 3.11
+    # runs them faster than comprehensions, which build a function frame
+    row = {}
+    for i, j, mass in moves:
+        row[transpose(state, i, j)] = mass
+    total = math.fsum(row.values())
     if total > 1.0 + 1e-12:
         raise PropertyViolationError(
             f"transition masses from {state} sum to {total} > 1"
         )
-    row = dict(targets)
     row[state] = max(0.0, 1.0 - total)
     return row
 
 
-def _swap_row(state: tuple, swap_prob) -> dict:
-    """The adjacent-swap rule.
-
-    A position 1 <= i < n is chosen uniformly; if the items at i and i+1
-    differ they are exchanged with probability ``swap_prob(i)``.
-    """
+def _adjacent_moves(state: tuple, swap_prob) -> list:
+    """The adjacent-swap rule: a position 1 <= i < n is chosen uniformly;
+    if the items at i and i+1 differ they are exchanged with probability
+    ``swap_prob(i)``."""
     n = len(state)
-    targets: dict = {}
-    if n < 2:
-        return _finish_row(state, targets)
-    base = 1.0 / (n - 1)
+    base = 1.0 / max(n - 1, 1)  # no position to choose when n < 2
+    moves = []
     for i in range(1, n):
-        if state[i - 1] == state[i]:
-            continue
-        out = list(state)
-        out[i - 1], out[i] = out[i], out[i - 1]
-        targets[tuple(out)] = base * swap_prob(i)
-    return _finish_row(state, targets)
+        if state[i - 1] != state[i]:
+            moves.append((i, i + 1, base * swap_prob(i)))
+    return moves
 
 
 class MtkMove:
@@ -143,20 +149,6 @@ def _class_moves(classes: tuple, table, directions) -> list[MtkMove]:
                     moves.append(MtkMove(j, i, "N", 1.0, base))
                     break
     return moves
-
-
-def _move_row(state: tuple, moves) -> dict:
-    """Row of a class-transposition chain: each move's mass; same-class
-    exchanges on words fold into the self-loop."""
-    targets: dict = {}
-    for mv in moves:
-        out = list(state)
-        out[mv.i - 1], out[mv.j - 1] = out[mv.j - 1], out[mv.i - 1]
-        tgt = tuple(out)
-        if tgt == state:
-            continue
-        targets[tgt] = targets.get(tgt, 0.0) + mv.prob
-    return _finish_row(state, targets)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +311,8 @@ class AdjacentTranspositionChain(ChainKernel):
     def transitions(self, state):
         sigma = tuple(state)
         prob = self.prob_set.prob
-        return _swap_row(sigma, lambda i: prob(sigma[i], sigma[i - 1]))
+        return _transposition_row(
+            sigma, _adjacent_moves(sigma, lambda i: prob(sigma[i], sigma[i - 1])))
 
 
 class _ClassChain(ChainKernel):
@@ -374,7 +367,7 @@ class ClassTranspositionChain(_ClassChain):
 
     def transitions(self, state):
         state = tuple(state)
-        return _move_row(state, self.moves(state))
+        return _transposition_row(state, [(mv.i, mv.j, mv.prob) for mv in self.moves(state)])
 
 
 class SameClassChain(ChainKernel):
@@ -394,13 +387,9 @@ class SameClassChain(ChainKernel):
         positions = [i for i, c in enumerate(project(sigma, self.partition), 1)
                      if c == self.cls]
         base = 1.0 / len(positions)
-        targets: dict = {}
         # the nearest class-mate left of each class position is the one before it
-        for g, f in zip(positions, positions[1:]):
-            out = list(sigma)
-            out[f - 1], out[g - 1] = out[g - 1], out[f - 1]
-            targets[tuple(out)] = base
-        return _finish_row(sigma, targets)
+        return _transposition_row(sigma, [(g, f, base)
+                                          for g, f in zip(positions, positions[1:])])
 
 
 class CrossClassChain(_ClassChain):
@@ -412,7 +401,8 @@ class CrossClassChain(_ClassChain):
 
     def transitions(self, state):
         state = tuple(state)
-        return _move_row(state, _class_moves(self.classes(state), self.table, ("L", "R")))
+        moves = _class_moves(self.classes(state), self.table, ("L", "R"))
+        return _transposition_row(state, [(mv.i, mv.j, mv.prob) for mv in moves])
 
 
 class ParticleProcessChain(_ClassChain):
@@ -425,7 +415,8 @@ class ParticleProcessChain(_ClassChain):
     def transitions(self, state):
         word = self.classes(tuple(state))
         table = self.table
-        return _swap_row(word, lambda i: float(table[word[i], word[i - 1]]))
+        return _transposition_row(
+            word, _adjacent_moves(word, lambda i: float(table[word[i], word[i - 1]])))
 
 
 class TreeSwapChain(ChainKernel):
@@ -447,17 +438,14 @@ class TreeSwapChain(ChainKernel):
     def transitions(self, state):
         n = self.tree.n
         sigma = validate_permutation(state, n)
-        pos = {x: i for i, x in enumerate(sigma)}
+        pos = {x: i for i, x in enumerate(sigma, 1)}
         base = 1.0 / (n * (n - 1) / 2)
-        targets: dict = {}
+        moves = []
         for a, b, blockers, p_in in self.pairs:
             i, j = pos[a], pos[b]
-            if not blockers.isdisjoint(sigma[min(i, j) + 1:max(i, j)]):
-                continue
-            out = list(sigma)
-            out[i], out[j] = b, a
-            targets[tuple(out)] = base * (1.0 - p_in if i < j else p_in)
-        return _finish_row(sigma, targets)
+            if blockers.isdisjoint(sigma[min(i, j):max(i, j) - 1]):
+                moves.append((i, j, base * (1.0 - p_in if i < j else p_in)))
+        return _transposition_row(sigma, moves)
 
 
 class GeneralizedExclusionChain(ChainKernel):
@@ -497,7 +485,7 @@ class GeneralizedExclusionChain(ChainKernel):
                 )
             return p
 
-        return _swap_row(word, swap_prob)
+        return _transposition_row(word, _adjacent_moves(word, swap_prob))
 
 
 def make_kernel(name: str, *, prob_set=None, partition=None, tree=None,

@@ -34,9 +34,19 @@ def log_weight(sigma, prob_set: ProbabilitySet) -> float:
     The weight is the product over position pairs i < j of the probability
     of the ordered pair (sigma(i), sigma(j)).
     """
-    idx = np.asarray(sigma, dtype=int) - 1
-    sub = prob_set.p[np.ix_(idx, idx)]
-    return float(np.log(sub[_upper_pairs(len(idx))]).sum())
+    return float(log_weights([sigma], prob_set)[0])
+
+
+def log_weights(states, prob_set: ProbabilitySet) -> np.ndarray:
+    """Log weights of a list of permutations of one length, as one array.
+
+    The (states x pairs) gather is made C-ordered, so each state's pairs are
+    summed as one row, in the order a lone state's are: in its own layout
+    a state's value would depend on the others listed with it."""
+    idx = np.array(states, dtype=int) - 1
+    rows, cols = _upper_pairs(idx.shape[1])
+    gathered = np.ascontiguousarray(prob_set.p[idx[:, rows], idx[:, cols]])
+    return np.log(gathered).sum(axis=1)
 
 
 @lru_cache(maxsize=64)

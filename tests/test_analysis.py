@@ -1240,6 +1240,13 @@ class TestScaling:
         with pytest.raises(ValidationError, match="one-state space"):
             gap_scaling(lambda n: AdjacentTranspositionChain(uniform_set(n)), [1, 2, 3])
 
+    def test_repeated_size_rejected_before_any_build(self):
+        def family(n):
+            raise AssertionError("a chain was built")
+
+        with pytest.raises(ValidationError, match="must not repeat"):
+            gap_scaling(family, [3, 3, 4, 5])
+
     def test_uniform_nearest_neighbor_slope_smoke(self):
         fit = gap_scaling(
             lambda n: AdjacentTranspositionChain(uniform_set(n)), [3, 4, 5])

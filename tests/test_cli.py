@@ -184,6 +184,8 @@ MALFORMED = {
         "chain": "mtree", "experiment": "stationary"},
     "scaling-sizes-repeated": {"chain": "mnn", "family": "uniform",
                                "experiment": "scaling", "sizes": [3, 3, 3]},
+    "scaling-size-twice": {"chain": "mnn", "family": "uniform",
+                           "experiment": "scaling", "sizes": [3, 3, 4, 5]},
     "out-number": {"model": UNIFORM3, "chain": "mnn", "experiment": "gap", "out": 5},
     "seed-negative": {"experiment": "fill-check", "n": 3, "count": 2, "seed": -1},
 }

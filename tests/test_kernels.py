@@ -16,7 +16,7 @@ from biasedperm.model import (
     uniform_set,
     validate_kclass,
 )
-from biasedperm import permcore, treerep
+from biasedperm import kernels, permcore, treerep
 from biasedperm.kernels import (
     AdjacentTranspositionChain,
     ClassTranspositionChain,
@@ -757,3 +757,64 @@ class TestReferenceRows:
         words = enumerate_states("binary", n1=5, n0=5).states
         self.assert_rows_equal(GeneralizedExclusionChain(bias, 5, 5),
                                lambda s: _ref_me_row(s, bias), words)
+
+
+class TestListedTranspositions:
+    """Every transposition a kernel lists changes the state, and no two reach
+    the same target: the row builder keeps one entry per move, with no
+    accumulation and no identity fold."""
+
+    @staticmethod
+    def listed(monkeypatch, kernel, states):
+        calls = []
+        build = kernels._transposition_row
+
+        def record(state, moves):
+            moves = list(moves)
+            calls.append((state, moves))
+            return build(state, moves)
+
+        monkeypatch.setattr(kernels, "_transposition_row", record)
+        for state in states:
+            kernel.transitions(state)
+        assert [state for state, _ in calls] == list(states)
+        return calls
+
+    def assert_distinct_targets(self, monkeypatch, kernel, states):
+        for state, moves in self.listed(monkeypatch, kernel, states):
+            targets = [permcore.transpose(state, i, j) for i, j, _ in moves]
+            assert state not in targets
+            assert len(set(targets)) == len(targets)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_permutation_chains(self, monkeypatch, seed):
+        ps, part = seeded_kclass(6, 3, seed=[909, seed])
+        perms = enumerate_states("permutations", n=6).states
+        tree = random_league_tree(6, np.random.default_rng([909, seed]), max_degree=3)
+        chains = [make_kernel("mnn", prob_set=ps), make_kernel("mtree", tree=tree),
+                  make_kernel("mtk", prob_set=ps, partition=part)]
+        chains += [make_kernel(f"mi:{c}", prob_set=ps, partition=part)
+                   for c in range(1, part.k + 1)]
+        for kernel in chains:
+            self.assert_distinct_targets(monkeypatch, kernel, perms)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_word_chains(self, monkeypatch, seed):
+        ps, part = _words_222_model([909, seed])
+        words = enumerate_states("words", multiplicities=(2, 2, 2)).states
+        for name in ("mk1", "mpp"):
+            self.assert_distinct_targets(
+                monkeypatch, make_kernel(name, prob_set=ps, partition=part), words)
+
+    @pytest.mark.parametrize("spec", ["constant:0.75", "square-table", "word-hash"])
+    def test_exclusion_biases(self, monkeypatch, spec):
+        if spec == "square-table":
+            rng = np.random.default_rng(909)
+            bias = square_table_bias({"h": 4, "w": 4, "bias": {
+                f"({x},{y})": str(rng.uniform(0.5, 2.0))
+                for x in range(1, 5) for y in range(1, 5)}})
+        else:
+            bias = make_bias(spec)
+        words = enumerate_states("binary", n1=4, n0=4).states
+        self.assert_distinct_targets(
+            monkeypatch, make_kernel("me", bias=bias, n1=4, n0=4), words)

@@ -55,6 +55,23 @@ class TestWeight:
         rows, cols = permcore._upper_pairs(6)
         assert not rows.flags.writeable and not cols.flags.writeable
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_form_matches_each_log_weight_bit_for_bit(self, seed):
+        from biasedperm.model import random_monotone_set
+
+        sets = [seeded_kclass(7, 3, seed=[808, seed])[0],
+                random_monotone_set(7, np.random.default_rng([808, seed]))]
+        states = list(permutations(range(1, 8)))[seed::11]
+        for ps in sets:
+            former = []  # the per-state gather log_weight made before the array form
+            for sigma in states:
+                idx = np.asarray(sigma) - 1
+                sub = ps.p[np.ix_(idx, idx)]
+                former.append(float(np.log(sub[np.triu_indices(7, k=1)]).sum()))
+            assert permcore.log_weights(states, ps).tolist() == former
+            assert [permcore.log_weight(s, ps) for s in states] == former
+        assert permcore.log_weights([(1,)], uniform_set(1)).tolist() == [0.0]
+
     def test_uniform_weights_all_equal(self):
         ps = uniform_set(4)
         weights = {permcore.log_weight(s, ps) for s in permutations(range(1, 5))}
