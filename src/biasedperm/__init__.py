@@ -18,7 +18,6 @@ from .model import (
     build_from_weights,
     build_general,
     build_kclass,
-    check_bounded,
     check_weak_monotonicity,
     constant_bias_set,
     kclass_params_from_weights,
@@ -31,11 +30,8 @@ from .permcore import (
     format_permutation,
     format_word,
     log_weight,
-    parse_permutation,
-    parse_word,
     project,
     transpose,
-    weight_ratio_transposition,
 )
 from .kernels import (
     AdjacentTranspositionChain,

@@ -999,7 +999,8 @@ def congestion(nn_matrix: sp.spmatrix | np.ndarray, paths: PathFamily,
     the maximum load divided by pi(z) P(z, w).  Loads are summed in path
     order and edges are ranked by first use, so the largest load that ties
     goes to the edge used first, and a step off the chain is reported at
-    its first use.
+    its first use.  A step from a state whose pi is not positive is
+    refused (``PropertyViolationError``): its load ratio is undefined.
     """
     nn_matrix = sp.csr_matrix(nn_matrix)
     if not len(paths):
@@ -1026,6 +1027,12 @@ def congestion(nn_matrix: sp.spmatrix | np.ndarray, paths: PathFamily,
             f"path step {space.states[z[bad[0]]]} -> {space.states[w[bad[0]]]} is not a "
             "nearest-neighbor edge"
         )
+    # a mass the solver could not resolve would make the load ratio 0/0
+    bad = np.flatnonzero(~(pi[z] > 0))
+    if bad.size:
+        raise PropertyViolationError(
+            f"stationary mass {pi[z[bad[0]]]} of {space.states[z[bad[0]]]}, where a path "
+            "step starts, is not positive")
     values = loads / (pi[z] * rates)
     k = int(np.argmax(values))
     best, best_edge = 0.0, None

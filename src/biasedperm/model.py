@@ -365,20 +365,6 @@ def validate_kclass(prob_set: ProbabilitySet, partition: ClassPartition) -> np.n
     return table
 
 
-def check_bounded(prob_set: ProbabilitySet, partition: ClassPartition):
-    """Minimum cross-class bias ratio p[i][j]/p[j][i] over i < j, or None.
-
-    Returns None when the partition has no cross-class pair (single class);
-    the caller compares the returned ratio against its own threshold.  Every
-    cross pair of classes a < b has the ratio table[a, b] / table[b, a] of
-    the class-pair table.
-    """
-    table = validate_kclass(prob_set, partition)
-    k = partition.k
-    return min((float(table[a, b] / table[b, a])
-                for a in range(1, k + 1) for b in range(a + 1, k + 1)), default=None)
-
-
 def random_monotone_set(n: int, rng, low: float = 0.5, high: float = 0.99) -> ProbabilitySet:
     """Seeded random monotone positively biased general set.
 

@@ -58,27 +58,6 @@ def _upper_pairs(n: int) -> tuple:
     return rows, cols
 
 
-def weight_ratio_transposition(sigma, i: int, j: int, prob_set: ProbabilitySet) -> float:
-    """Exact weight ratio pi(sigma)/pi(tau) where tau swaps positions i < j.
-
-    Uses the closed form: only the pairs involving the two swapped
-    positions change, so the ratio is
-    (p[a][b]/p[b][a]) * prod over positions m strictly between i and j of
-    (p[a][c] p[c][b]) / (p[b][c] p[c][a]) with a = sigma(i), b = sigma(j),
-    c = sigma(m).
-    """
-    if not i < j:
-        raise ValidationError(f"need positions i < j, got ({i}, {j})")
-    a, b = sigma[i - 1], sigma[j - 1]
-    ratio = prob_set.prob(a, b) / prob_set.prob(b, a)
-    for m in range(i + 1, j):
-        c = sigma[m - 1]
-        ratio *= (prob_set.prob(a, c) * prob_set.prob(c, b)) / (
-            prob_set.prob(b, c) * prob_set.prob(c, a)
-        )
-    return ratio
-
-
 def transpose(sigma, i: int, j: int) -> tuple:
     """The permutation with positions i and j (1-based) exchanged."""
     out = list(sigma)
@@ -111,10 +90,6 @@ def format_permutation(sigma) -> str:
     return " ".join(str(x) for x in sigma)
 
 
-def parse_permutation(text: str) -> tuple:
-    return validate_permutation(int(tok) for tok in text.split())
-
-
 def format_word(word, k: int | None = None) -> str:
     """Digit string when k <= 9, comma-separated labels otherwise."""
     if k is None:
@@ -123,9 +98,3 @@ def format_word(word, k: int | None = None) -> str:
         return "".join(str(x) for x in word)
     return ",".join(str(x) for x in word)
 
-
-def parse_word(text: str) -> tuple:
-    text = text.strip()
-    if "," in text:
-        return tuple(int(tok) for tok in text.split(","))
-    return tuple(int(ch) for ch in text)

@@ -1199,6 +1199,16 @@ class TestCongestion:
             assert report.max_path_count <= 12 * 4 ** 3
             assert report.max_path_len <= 4 * 4
 
+    def test_a_zero_mass_where_a_step_starts_is_refused(self):
+        ps, part = seeded_kclass(4, 2, seed=[505, 0])
+        space = enumerate_states("permutations", n=4)
+        family = collect_canonical_paths(ClassTranspositionChain(ps, part), space)
+        nn = build_csr(AdjacentTranspositionChain(ps), space)
+        pi = stationary_formula(space, ps, part)
+        pi[family.states[0]] = 0.0  # the first step of the first path starts here
+        with pytest.raises(PropertyViolationError, match="stationary mass 0.0 of "):
+            congestion(nn, family, pi, space)
+
     @pytest.mark.parametrize("n, k, seed", [(4, 2, 0), (5, 3, 1), (6, 3, 2), (6, 4, 3)])
     def test_congestion_is_the_former_accumulation(self, n, k, seed):
         ps, part = seeded_kclass(n, k, seed=[525, seed])

@@ -281,6 +281,19 @@ class TestPropertyViolation:
         # outputs are still written for inspection
         assert (tmp_path / "out" / "detail.csv").exists()
 
+    def test_congestion_on_an_unresolved_mass_exit_3(self, tmp_path, capsys):
+        # the LU clips the smallest stationary masses of this all-singleton
+        # set to 0; congestion's load ratio there was 0/0 and ended in a
+        # TypeError
+        q = {f"({a},{b})": "0.9999" for a in range(1, 5) for b in range(a + 1, 5)}
+        cfg = write_config(tmp_path, {
+            "model": {"type": "kclass", "n": 4, "boundaries": [1, 2, 3], "q": q},
+            "chain": "mtk", "experiment": "congestion", "out": str(tmp_path / "out")})
+        assert cli.run(cfg) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("property violation: stationary mass 0.0 ")
+        assert err.count("\n") == 1
+
 
 class TestExperiments:
     def test_balance_clean(self, tmp_path):

@@ -9,7 +9,6 @@ from biasedperm.model import (
     build_from_weights,
     build_general,
     build_kclass,
-    check_bounded,
     check_weak_monotonicity,
     constant_bias_set,
     kclass_params_from_weights,
@@ -170,30 +169,6 @@ class TestWeakMonotonicity:
         assert report.weakly_monotone
 
 
-class TestBounded:
-    def test_constant_cross(self):
-        part = ClassPartition(4, (2,))
-        ps = build_kclass(KClassParams(part, {(1, 2): 0.75}))
-        assert check_bounded(ps, part) == pytest.approx(3.0)
-
-    def test_single_class_sentinel(self):
-        part = ClassPartition(3, ())
-        assert check_bounded(uniform_set(3), part) is None
-
-    def test_example_tree_projection(self):
-        # singleton classes: every pair is a cross pair
-        tree = treerep.parse_tree(EXAMPLE_TREE)
-        ps = treerep.induced_probabilities(tree)
-        part = ClassPartition(7, tuple(range(1, 7)))
-        assert check_bounded(ps, part) == pytest.approx(0.6 / 0.4)
-
-    def test_inconsistent_set_rejected(self):
-        part = ClassPartition(3, (1,))
-        ps = build_general(3, [(1, 2, 0.7), (1, 3, 0.8), (2, 3, 0.6)])
-        with pytest.raises(ValidationError):
-            check_bounded(ps, part)  # within-class pair (2,3) is not 1/2
-
-
 class TestValidateKClass:
     def test_table_contents(self):
         part = ClassPartition(3, (2,))
@@ -202,6 +177,12 @@ class TestValidateKClass:
         assert table[1, 2] == 0.8
         assert table[2, 1] == pytest.approx(0.2)
         assert table[1, 1] == 0.5
+
+    def test_inconsistent_set_rejected(self):
+        part = ClassPartition(3, (1,))
+        ps = build_general(3, [(1, 2, 0.7), (1, 3, 0.8), (2, 3, 0.6)])
+        with pytest.raises(ValidationError):
+            validate_kclass(ps, part)  # within-class pair (2,3) is not 1/2
 
 
 class TestRandomMonotone:
@@ -296,21 +277,8 @@ def _ref_induced_probabilities(tree):
     return p
 
 
-def _ref_check_bounded(prob_set, partition):
-    validate_kclass(prob_set, partition)
-    best = None
-    for i in range(1, prob_set.n + 1):
-        for j in range(i + 1, prob_set.n + 1):
-            if partition.class_of(i) == partition.class_of(j):
-                continue
-            r = prob_set.ratio(i, j)
-            if best is None or r < best:
-                best = r
-    return best
-
-
 class TestFormerBuilders:
-    """Every builder's matrix, and check_bounded's ratio, equal the former loops'."""
+    """Every builder's matrix equals the former loops'."""
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_kclass(self, n):
@@ -319,8 +287,6 @@ class TestFormerBuilders:
                 params = seeded_kclass_params(n, k, [n, k, seed])
                 ps = build_kclass(params)
                 assert np.array_equal(ps.p, _ref_build_kclass(params), equal_nan=True)
-                part = params.partition
-                assert check_bounded(ps, part) == _ref_check_bounded(ps, part)
 
     @pytest.mark.parametrize("values", [
         ["1"], ["3", "3"], ["2", "1"], ["4", "2", "2", "1"],
@@ -331,8 +297,6 @@ class TestFormerBuilders:
         w = WeightVector.from_strings(values)
         ps = build_from_weights(w)
         assert np.array_equal(ps.p, _ref_build_from_weights(w), equal_nan=True)
-        part = w.induced_partition()
-        assert check_bounded(ps, part) == _ref_check_bounded(ps, part)
 
     def test_random_weight_runs(self):
         rng = np.random.default_rng(71)
@@ -342,8 +306,6 @@ class TestFormerBuilders:
                     [str(v) for v in sorted(rng.integers(1, 5, size=n), reverse=True)])
                 ps = build_from_weights(w)
                 assert np.array_equal(ps.p, _ref_build_from_weights(w), equal_nan=True)
-                part = w.induced_partition()
-                assert check_bounded(ps, part) == _ref_check_bounded(ps, part)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_league_trees(self, seed):
@@ -352,8 +314,6 @@ class TestFormerBuilders:
             tree = random_league_tree(n, rng)
             ps = treerep.induced_probabilities(tree)
             assert np.array_equal(ps.p, _ref_induced_probabilities(tree), equal_nan=True)
-            singletons = ClassPartition(n, tuple(range(1, n)))
-            assert check_bounded(ps, singletons) == _ref_check_bounded(ps, singletons)
 
 
 class TestMatrixBudget:

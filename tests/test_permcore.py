@@ -78,47 +78,6 @@ class TestWeight:
         assert len(weights) == 1
 
 
-class TestWeightRatio:
-    def test_adjacent_swap_empty_product(self):
-        ps = constant_bias_set(2, 0.6)
-        assert permcore.weight_ratio_transposition((1, 2), 1, 2, ps) == pytest.approx(1.5)
-
-    def test_same_class_ratio_one(self):
-        ps, part = seeded_kclass(5, 2, seed=2)
-        # find a permutation with two same-class elements in positions 1, 3
-        members = part.members(1 if part.sizes[0] >= 2 else 2)
-        a, b = members[0], members[1]
-        rest = [x for x in range(1, 6) if x not in (a, b)]
-        sigma = (a, rest[0], b, rest[1], rest[2])
-        assert permcore.weight_ratio_transposition(sigma, 1, 3, ps) == pytest.approx(1.0)
-
-    def test_closed_form_matches_weight_difference(self):
-        ps = constant_bias_set(4, 0.6)
-        sigma = (2, 3, 4, 1)
-        ratio = permcore.weight_ratio_transposition(sigma, 1, 4, ps)
-        tau = permcore.transpose(sigma, 1, 4)
-        direct = math.exp(permcore.log_weight(sigma, ps) - permcore.log_weight(tau, ps))
-        assert abs(ratio - direct) < 1e-12
-
-    def test_involution(self):
-        rng = np.random.default_rng(11)
-        from biasedperm.model import random_monotone_set
-
-        ps = random_monotone_set(5, rng)
-        for _ in range(20):
-            sigma = tuple(rng.permutation(np.arange(1, 6)))
-            i, j = sorted(rng.choice(np.arange(1, 6), size=2, replace=False))
-            tau = permcore.transpose(sigma, int(i), int(j))
-            fwd = permcore.weight_ratio_transposition(sigma, int(i), int(j), ps)
-            back = permcore.weight_ratio_transposition(tau, int(i), int(j), ps)
-            assert fwd * back == pytest.approx(1.0)
-
-    def test_position_order_enforced(self):
-        ps = uniform_set(3)
-        with pytest.raises(ValidationError):
-            permcore.weight_ratio_transposition((1, 2, 3), 2, 2, ps)
-
-
 class TestProject:
     def test_worked_word(self):
         # sigma(1), sigma(2) in class 2; sigma(3) in class 1; sigma(4), sigma(5) in class 3
@@ -150,16 +109,13 @@ class TestProject:
 
 
 class TestSerialization:
-    def test_permutation_round_trip(self):
-        sigma = (3, 1, 2)
-        assert permcore.parse_permutation(permcore.format_permutation(sigma)) == sigma
+    def test_permutation_spaces(self):
+        assert permcore.format_permutation((3, 1, 2)) == "3 1 2"
 
     def test_word_digits(self):
         assert permcore.format_word((2, 2, 1, 3, 3)) == "22133"
-        assert permcore.parse_word("22133") == (2, 2, 1, 3, 3)
 
     def test_word_commas_above_nine(self):
         word = (10, 2, 10)
         text = permcore.format_word(word, k=10)
         assert text == "10,2,10"
-        assert permcore.parse_word(text) == word
