@@ -18,7 +18,9 @@ disagreement goes under "mismatches" and the script exits 1.  Per case,
 tree and stage (leaving out those that read 0 in every run) the JSON holds
 the values, median, quartiles and spread, (q3 - q1) / median; with two
 trees also "wins", the rounds in which the change read lower, and
-"resolved", whether the medians differ by more than the parent's q3 - q1.
+"resolved" (``_resolved``): the change read on one side of the parent in
+at least 9 of 10 rounds (in every round of a case with fewer), and the
+medians differ by more than the larger of the two trees' q3 - q1.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import resource
@@ -183,6 +186,18 @@ def _summary(values) -> dict:
             "spread": (q3 - q1) / median if median else 0.0}
 
 
+def _resolved(change: dict, parent: dict) -> bool:
+    """Whether a stage's difference stands out of the noise: the change on
+    one side of the parent in nine tenths of the rounds, rounded up, and
+    the medians further apart than either tree's quartile distance.  On
+    the committed A/A run (both trees the same code) no stage passes."""
+    pairs = list(zip(change["values"], parent["values"]))
+    need = math.ceil(0.9 * len(pairs))
+    one_side = max(sum(c < p for c, p in pairs), sum(c > p for c, p in pairs)) >= need
+    spread = max(change["q3"] - change["q1"], parent["q3"] - parent["q1"])
+    return one_side and abs(change["median"] - parent["median"]) > spread
+
+
 def _report(records) -> dict:
     """Per stage and tree: values, median, quartiles; wins and resolved
     when a parent was run."""
@@ -195,8 +210,7 @@ def _report(records) -> dict:
         if "parent" in stage:
             change, parent = stage["change"], stage["parent"]
             stage["wins"] = sum(c < p for c, p in zip(change["values"], parent["values"]))
-            stage["resolved"] = (abs(change["median"] - parent["median"])
-                                 > parent["q3"] - parent["q1"])
+            stage["resolved"] = _resolved(change, parent)
         stages[key] = stage
     return {"outputs": runs[0]["outputs"], "gap": runs[0]["gap"], "stages": stages}
 

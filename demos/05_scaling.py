@@ -9,13 +9,10 @@ sizes with exact eigensolves and exact total-variation scans.
 from biasedperm import (
     AdjacentTranspositionChain,
     GeneralizedExclusionChain,
-    build_matrix,
     constant_bias,
-    enumerate_states,
     fit_loglog,
     gap_scaling,
-    mixing_time_exact,
-    stationary_exact,
+    scaling_values,
     uniform_set,
 )
 
@@ -28,14 +25,9 @@ print(f"log-log slope: {fit.slope:.3f} (n^3 scaling shows as ~3)")
 
 print("\nconstant-bias exclusion, p = 0.75, exact mixing times tau(1/4):")
 totals = [6, 8, 10]
-taus = []
-for total in totals:
-    n1 = total // 2
-    kernel = GeneralizedExclusionChain(constant_bias(0.75), n1, total - n1)
-    space = enumerate_states("binary", n1=n1, n0=total - n1)
-    matrix = build_matrix(kernel, space)
-    pi = stationary_exact(matrix)
-    tau = mixing_time_exact(matrix, pi, 0.25)
-    taus.append(float(tau))
+taus = list(scaling_values(
+    lambda total: GeneralizedExclusionChain(constant_bias(0.75), total // 2,
+                                            total - total // 2), totals, eps=0.25))
+for total, tau in zip(totals, taus):
     print(f"  total={total}: tau = {tau}")
 print(f"log-log slope: {fit_loglog(totals, taus).slope:.3f}")

@@ -89,6 +89,7 @@ from .analysis import (
     gap_scaling,
     mixing_bracket,
     mixing_time_exact,
+    scaling_values,
     space_for_kernel,
     spectral_gap,
     stationary_exact,

@@ -1,7 +1,10 @@
 """Exact state-space analysis and the canonical-path comparison machinery.
 
 Everything here works on explicitly enumerated state spaces with
-row-stochastic matrices built once in CSR form (``build_csr``).  The
+row-stochastic matrices built once in CSR form (``build_csr``).  One
+next-permutation enumerator lists every space (``enumerate_states``), and
+``scaling_values`` is the one size sweep of ``gap_scaling`` and the CLI's
+``scaling`` experiment.  The
 irreducibility check, the stationary solve, the detailed-balance scan, the
 spectral gap, the TV scan and the congestion constant take the CSR matrix
 as it is and accept a dense array by converting it with ``sp.csr_matrix``;
@@ -33,7 +36,7 @@ from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import permutations as _itperms
+from itertools import accumulate
 from queue import SimpleQueue
 
 import numpy as np
@@ -44,12 +47,12 @@ from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from . import permcore
 from .errors import BudgetExceededError, PropertyViolationError, ValidationError
-from .exclusion import all_words, area, bottom_word, top_word
+from .exclusion import area, bottom_word, top_word
 from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
                       GeneralizedExclusionChain)
 from .model import (ClassPartition, ProbabilitySet, _physical_memory,
-                    check_weak_monotonicity, random_monotone_set, uniform_set,
-                    validate_kclass)
+                    check_weak_monotonicity, parse_int, random_monotone_set,
+                    uniform_set, validate_kclass)
 
 DEFAULT_BUDGET = 50_000
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
@@ -78,27 +81,24 @@ class StateSpace:
         return len(self.states)
 
 
-def _multiset_words(sizes):
-    """Words over 1..k with the given label counts, ascending lexicographic."""
-    k = len(sizes)
-    counts = list(sizes)
-    word = []
-    out = []
-
-    def rec(remaining):
-        if remaining == 0:
-            out.append(tuple(word))
-            return
-        for label in range(1, k + 1):
-            if counts[label - 1] > 0:
-                counts[label - 1] -= 1
-                word.append(label)
-                rec(remaining - 1)
-                word.pop()
-                counts[label - 1] += 1
-
-    rec(sum(sizes))
-    return out
+def _rearrangements(labels) -> tuple:
+    """Every distinct ordering of a sorted label list, ascending
+    lexicographic: each step swaps the last ascent a[i] < a[i + 1] with the
+    last later label above a[i] and reverses the tail after i."""
+    a = list(labels)
+    out = [tuple(a)]
+    while True:
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return tuple(out)
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+        out.append(tuple(a))
 
 
 def enumerate_states(kind: str, *, n: int | None = None, multiplicities=None,
@@ -107,39 +107,33 @@ def enumerate_states(kind: str, *, n: int | None = None, multiplicities=None,
     """Enumerate a state space in deterministic (lexicographic) order.
 
     kind "permutations" needs n; "words" needs multiplicities (the class
-    sizes); "binary" needs n1 and n0.  Spaces larger than the budget are
-    refused up front.
+    sizes); "binary" needs n1 and n0.  Each space is the orderings of one
+    label multiset (1..n, c copies of class label c, n0 zeros and n1 ones);
+    spaces above the budget (its multinomial count) are refused up front.
     """
     if kind == "permutations":
         if n is None or n < 1:
             raise ValidationError(f"permutations need n >= 1, got {n}")
-        count = math.factorial(n)
-        _check_budget(count, budget)
-        states = tuple(_itperms(range(1, n + 1)))
-        return StateSpace(kind=kind, states=states)
-    if kind == "words":
+        first, sizes = 1, [1] * n
+    elif kind == "words":
         if not multiplicities:
             raise ValidationError("words need multiplicities")
-        sizes = tuple(int(c) for c in multiplicities)
+        first, sizes = 1, [parse_int(c, "a multiplicity") for c in multiplicities]
         if any(c < 1 for c in sizes):
             raise ValidationError("multiplicities must be positive")
-        count = math.factorial(sum(sizes))
-        for c in sizes:
-            count //= math.factorial(c)
-        _check_budget(count, budget)
-        return StateSpace(kind=kind, states=tuple(_multiset_words(sizes)))
-    if kind == "binary":
+    elif kind == "binary":
         if n1 is None or n0 is None:
             raise ValidationError("binary words need n1 and n0")
-        _check_budget(math.comb(n1 + n0, n1), budget)
-        states = tuple(sorted(all_words(n1, n0)))
-        return StateSpace(kind=kind, states=states)
-    raise ValidationError(f"unknown space kind {kind!r}")
-
-
-def _check_budget(count: int, budget: int):
+        first, sizes = 0, [parse_int(n0, "n0"), parse_int(n1, "n1")]
+        if min(sizes) < 0:
+            raise ValidationError(f"binary words need n1, n0 >= 0, got {n1}, {n0}")
+    else:
+        raise ValidationError(f"unknown space kind {kind!r}")
+    count = math.prod(map(math.comb, accumulate(sizes), sizes))  # the multinomial
     if count > budget:
         raise BudgetExceededError(f"{count} states exceed the budget of {budget}")
+    labels = [label for label, c in enumerate(sizes, first) for _ in range(c)]
+    return StateSpace(kind=kind, states=_rearrangements(labels))
 
 
 def space_for_kernel(kernel: ChainKernel, budget: int = DEFAULT_BUDGET) -> StateSpace:
@@ -705,9 +699,9 @@ def verify_decomposition(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray,
     if not seen.all():
         raise ValidationError("blocks do not cover the state space")
 
+    indices = [np.asarray(sorted(b), dtype=int) for b in blocks]
     restriction_gaps = []
-    for b in blocks:
-        idx = np.asarray(sorted(b), dtype=int)
+    for idx in indices:
         sub = matrix[idx][:, idx].toarray()
         off = sub.sum(axis=1) - np.diag(sub)
         np.fill_diagonal(sub, 1.0 - off)
@@ -717,12 +711,11 @@ def verify_decomposition(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray,
     m = len(blocks)
     proj = np.zeros((m, m))
     mass = np.zeros(m)
-    for bi, b in enumerate(blocks):
-        idx = np.asarray(sorted(b), dtype=int)
+    for bi, idx in enumerate(indices):
         mass[bi] = pi[idx].sum()
         flow = pi[idx, None] * matrix[idx].toarray()
-        for bj, c in enumerate(blocks):
-            proj[bi, bj] = flow[:, np.asarray(sorted(c), dtype=int)].sum()
+        for bj, other in enumerate(indices):
+            proj[bi, bj] = flow[:, other].sum()
         proj[bi, :] /= mass[bi]
     gap_projection = spectral_gap(proj, mass / mass.sum())
 
@@ -1091,22 +1084,31 @@ def fit_loglog(sizes, values) -> ScalingFit:
                       max_residual=float(np.abs(residuals).max()))
 
 
-def gap_scaling(family, sizes, budget: int = DEFAULT_BUDGET) -> ScalingFit:
-    """Log-log slope of the relaxation time 1/gap across sizes.
+def scaling_values(family, sizes, eps: float | None = None,
+                   budget: int = DEFAULT_BUDGET):
+    """Per size, in the order given, 1/gap or, given eps, the exact tau(eps).
 
     ``family`` maps a size to a kernel; the kernel's natural space is
-    enumerated within the budget, and must have more than one state.
+    enumerated within the budget, and must have more than one state.  A
+    generator, so a caller keeps the values before a size over the budget.
     """
-    if len(set(sizes)) < len(sizes):
-        raise ValidationError(f"scaling sizes must not repeat, got {list(sizes)}")
-    values = []
     for size in sizes:
         kernel = family(size)
         space = space_for_kernel(kernel, budget=budget)
         if len(space) == 1:  # gap 1 by spectral_gap's convention, not a relaxation time
             raise ValidationError(f"scaling size {size} has a one-state space")
-        values.append(1.0 / spectral_gap(build_csr(kernel, space)))
-    return fit_loglog(sizes, values)
+        matrix = build_csr(kernel, space)
+        if eps is None:
+            yield 1.0 / spectral_gap(matrix)
+        else:
+            yield mixing_time_exact(matrix, stationary_exact(matrix), eps)
+
+
+def gap_scaling(family, sizes, budget: int = DEFAULT_BUDGET) -> ScalingFit:
+    """Log-log slope of the relaxation time 1/gap across sizes."""
+    if len(set(sizes)) < len(sizes):
+        raise ValidationError(f"scaling sizes must not repeat, got {list(sizes)}")
+    return fit_loglog(sizes, list(scaling_values(family, sizes, budget=budget)))
 
 
 def fill_spot_check(n: int, count: int, seed: int, budget: int = DEFAULT_BUDGET):

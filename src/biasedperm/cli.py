@@ -399,30 +399,25 @@ def _exp_scaling(run: _Run):
     eps = _parse_epsilon(run.cfg, default="0.25") if metric == "mix" else None
     family = _scaling_family(run)
 
+    sizes = sorted(sizes)
     values = []
-    for size in sorted(sizes):
-        try:
-            space, matrix = run.build(family(size))
-            if len(space) == 1:  # no second eigenvalue, nothing to mix
-                raise ValidationError(f"scaling size {size} has a one-state space")
-            if metric == "relaxation":
-                value = 1.0 / analysis.spectral_gap(matrix)
+    try:
+        for size, value in zip(sizes, analysis.scaling_values(family, sizes, eps,
+                                                              budget=run.budget)):
+            if eps is None:
                 run.result(size, gap=1.0 / value)
             else:
-                pi = analysis.stationary_exact(matrix)
-                value = analysis.mixing_time_exact(matrix, pi, eps)
                 run.result(size, tau=value)
             values.append((size, value))
-        except BudgetExceededError as exc:
-            run.deferred = exc
-            break
+    except BudgetExceededError as exc:
+        run.deferred = exc
     run.detail_header = ["row_type", "size", "value", "slope", "intercept",
                          "max_residual"]
     run.detail += [["size", size, value, None, None, None] for size, value in values]
     if run.deferred is None:
         fit = analysis.fit_loglog([s for s, _ in values], [v for _, v in values])
         run.detail.append(["fit", None, None, fit.slope, fit.intercept, fit.max_residual])
-        run.summary.append(f"log-log slope: {fit.slope:.4f} over sizes {sorted(sizes)}")
+        run.summary.append(f"log-log slope: {fit.slope:.4f} over sizes {sizes}")
     else:
         run.summary.append(f"sweep stopped early: {run.deferred}")
 

@@ -122,7 +122,7 @@ def top_word(n1: int, n0: int) -> tuple:
 
 
 def all_words(n1: int, n0: int):
-    """All binary words with n1 ones and n0 zeros, lexicographic."""
+    """All binary words with n1 ones and n0 zeros, descending lexicographic."""
     n = n1 + n0
     for ones in combinations(range(n), n1):
         word = [0] * n

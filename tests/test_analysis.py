@@ -24,7 +24,7 @@ from biasedperm.model import (
     random_monotone_set,
     uniform_set,
 )
-from biasedperm import analysis, permcore
+from biasedperm import analysis, exclusion, permcore
 from biasedperm.analysis import (
     blocks_by_class_positions,
     build_csr,
@@ -41,6 +41,7 @@ from biasedperm.analysis import (
     is_irreducible,
     mixing_bracket,
     mixing_time_exact,
+    scaling_values,
     space_for_kernel,
     spectral_gap,
     stationary_exact,
@@ -82,6 +83,42 @@ class TestEnumerate:
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
             enumerate_states("permutations", n=9, budget=100)
+
+    @staticmethod
+    def _matches(expected, kind, **params):
+        """The space lists the oracle's states in its order, and the budget
+        count is its size: it fits a budget of len(expected), not one less."""
+        space = enumerate_states(kind, budget=len(expected), **params)
+        assert space.states == tuple(expected)
+        with pytest.raises(BudgetExceededError):
+            enumerate_states(kind, budget=len(expected) - 1, **params)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_permutations_match_itertools(self, n):
+        self._matches(list(permutations(range(1, n + 1))), "permutations", n=n)
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (1, 1), (2, 1), (1, 2), (2, 2),
+                                       (1, 3, 1), (2, 1, 1, 2), (1, 1, 1, 1, 1),
+                                       (4, 4), (3, 3, 3), (2, 3, 4)])
+    def test_words_match_the_distinct_orderings(self, sizes):
+        labels = [label for label, c in enumerate(sizes, 1) for _ in range(c)]
+        self._matches(sorted(set(permutations(labels))), "words", multiplicities=sizes)
+
+    def test_binary_words_match_exclusion_all_words(self):
+        for total in range(17):
+            for n1 in range(total + 1):
+                self._matches(sorted(exclusion.all_words(n1, total - n1)), "binary",
+                              n1=n1, n0=total - n1)
+
+    @pytest.mark.parametrize("params", [dict(n1=-1, n0=5), dict(n1=3, n0=-2)])
+    def test_negative_binary_sizes_refused(self, params):
+        with pytest.raises(ValidationError, match="n1, n0 >= 0"):
+            enumerate_states("binary", **params)
+
+    @pytest.mark.parametrize("sizes", [[2.7, 1], [2, 0.5], [True, 2]])
+    def test_non_integral_multiplicities_refused(self, sizes):
+        with pytest.raises(ValidationError, match="multiplicity must be an integer"):
+            enumerate_states("words", multiplicities=sizes)
 
 
 class TestBuildMatrix:
@@ -1256,6 +1293,21 @@ class TestScaling:
 
         with pytest.raises(ValidationError, match="must not repeat"):
             gap_scaling(family, [3, 3, 4, 5])
+
+    def test_values_come_one_size_at_a_time(self):
+        sweep = scaling_values(lambda n: AdjacentTranspositionChain(uniform_set(n)),
+                               [3, 4, 6], budget=30)
+        assert next(sweep) == pytest.approx(4.0)
+        assert next(sweep) == pytest.approx(10.24, abs=0.005)
+        with pytest.raises(BudgetExceededError, match="720 states"):
+            next(sweep)
+
+    def test_mixing_times_given_eps(self):
+        def family(total):
+            return GeneralizedExclusionChain(constant_bias(0.75), total // 2,
+                                             total - total // 2)
+
+        assert list(scaling_values(family, [6, 8], eps=0.25)) == [57, 132]
 
     def test_uniform_nearest_neighbor_slope_smoke(self):
         fit = gap_scaling(

@@ -51,6 +51,8 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path):
             analysis.validate_kclass, kernels.ClassTranspositionChain.transitions) == originals
     assert tracer.calls["cli.run_config"][0] == len(CONFIGS)
     assert tracer.calls["analysis.collect_canonical_paths"][0] == 1
+    # space_for_kernel enumerates through the traced module attribute
+    assert tracer.calls["analysis.enumerate_states"][0] >= len(CONFIGS)
     assert tracer.counters["analysis.paths"] > 0
     assert tracer.calls["kernels.transitions.me"][0] == 6  # one row per word
     assert tracer.counters["analysis.tv.steps"] > 0

@@ -41,3 +41,18 @@ def test_a_child_run_records_every_stage_and_both_digests():
     assert record["exclusion.hitting_time_to_top.s"] > 0
     assert record["steps"] > 0 and record["kernels.word_hash_bias.calls"] == 0
     assert record["peak_rss_mb"] > 0
+
+
+def test_no_stage_of_the_committed_a_a_run_reads_resolved():
+    """Both trees of BENCH_stages.json ran the same code, so no stage may
+    pass the rule; a separated pair of samples must."""
+    run = json.loads((ROOT / "benchmarks" / "BENCH_stages.json").read_text())
+    assert run["trees"] == ["change", "parent"]
+    stages_seen = [stage for case in run["cases"].values()
+                   for stage in case["stages"].values()]
+    assert len(stages_seen) == 174
+    assert not any(stages._resolved(s["change"], s["parent"]) for s in stages_seen)
+    low = stages._summary([1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0])
+    high = stages._summary([v + 1.0 for v in low["values"]])
+    assert stages._resolved(low, high) and stages._resolved(high, low)
+    assert not stages._resolved(low, low)
