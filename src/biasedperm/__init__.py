@@ -46,6 +46,7 @@ from .kernels import (
     make_bias,
     make_kernel,
     sample_step,
+    sample_steps,
     square_table_bias,
     word_hash_bias,
 )

@@ -50,9 +50,8 @@ from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import area, bottom_word, top_word
 from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
                       GeneralizedExclusionChain)
-from .model import (ClassPartition, ProbabilitySet, _physical_memory,
-                    check_weak_monotonicity, parse_int, random_monotone_set,
-                    uniform_set, validate_kclass)
+from .model import (ClassPartition, ProbabilitySet, check_memory, check_weak_monotonicity,
+                    parse_int, random_monotone_set, uniform_set, validate_kclass)
 
 DEFAULT_BUDGET = 50_000
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
@@ -112,21 +111,13 @@ def enumerate_states(kind: str, *, n: int | None = None, multiplicities=None,
     spaces above the budget (its multinomial count) are refused up front.
     """
     if kind == "permutations":
-        if n is None or n < 1:
-            raise ValidationError(f"permutations need n >= 1, got {n}")
-        first, sizes = 1, [1] * n
+        first, sizes = 1, [1] * parse_int(n, "n", low=1)
     elif kind == "words":
         if not multiplicities:
             raise ValidationError("words need multiplicities")
-        first, sizes = 1, [parse_int(c, "a multiplicity") for c in multiplicities]
-        if any(c < 1 for c in sizes):
-            raise ValidationError("multiplicities must be positive")
+        first, sizes = 1, [parse_int(c, "a multiplicity", low=1) for c in multiplicities]
     elif kind == "binary":
-        if n1 is None or n0 is None:
-            raise ValidationError("binary words need n1 and n0")
-        first, sizes = 0, [parse_int(n0, "n0"), parse_int(n1, "n1")]
-        if min(sizes) < 0:
-            raise ValidationError(f"binary words need n1, n0 >= 0, got {n1}, {n0}")
+        first, sizes = 0, [parse_int(n0, "n0", low=0), parse_int(n1, "n1", low=0)]
     else:
         raise ValidationError(f"unknown space kind {kind!r}")
     count = math.prod(map(math.comb, accumulate(sizes), sizes))  # the multinomial
@@ -211,13 +202,7 @@ def stationary_exact(matrix: sp.spmatrix | np.ndarray) -> np.ndarray:
     n = matrix.shape[0]
     if n == 1:
         return np.ones(1)
-    need = 2 * 8 * n * n  # float64 system plus LAPACK's copy
-    memory = _physical_memory()
-    if need > memory:
-        raise BudgetExceededError(
-            f"the dense stationary solve over {n} states needs {need / 2**30:.1f} GiB, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory"
-        )
+    check_memory(2 * 8 * n * n, f"the dense stationary solve over {n} states")
     if not is_irreducible(matrix):
         raise ValidationError("matrix is not irreducible")
     # P^T - I with exact entries (m_ji off the diagonal, m_ii - 1.0 on it),
@@ -450,13 +435,7 @@ def _tv_iter(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray):
     size = n * min(_TV_BLOCK, n)
     widths = [min(_TV_BLOCK, n - s) for s in range(0, n, _TV_BLOCK)]
     workers = min(len(widths), _usable_cores())
-    need = 8 * size * (len(widths) + 2 * workers)
-    memory = _physical_memory()
-    if need > memory:
-        raise BudgetExceededError(
-            f"the TV scan over {n} states needs {need / 2**30:.1f} GiB, "
-            f"more than the {memory / 2**30:.1f} GiB of physical memory"
-        )
+    check_memory(8 * size * (len(widths) + 2 * workers), f"the TV scan over {n} states")
     # float64 like the laws: csr_matvecs casts its inputs to the matrix's type
     forward = sp.csr_matrix(matrix.T, dtype=np.float64)
     forward.sort_indices()
@@ -1067,7 +1046,7 @@ class ScalingFit:
 
 def fit_loglog(sizes, values) -> ScalingFit:
     """Least-squares slope of log(value) against log(size)."""
-    sizes = tuple(int(s) for s in sizes)
+    sizes = tuple(parse_int(s, "a size", low=1) for s in sizes)
     values = tuple(float(v) for v in values)
     if len(set(sizes)) < 3:
         raise ValidationError(f"a scaling fit needs at least 3 distinct sizes, got {sizes}")
@@ -1118,7 +1097,9 @@ def fill_spot_check(n: int, count: int, seed: int, budget: int = DEFAULT_BUDGET)
     seed indices whose gap fell below the uniform chain's gap.  The n!
     permutations are enumerated within the budget.
     """
+    count = parse_int(count, "count", low=1)
     space = enumerate_states("permutations", n=n, budget=budget)
+    n = len(space.states[0])
     uniform_matrix = build_csr(AdjacentTranspositionChain(uniform_set(n)), space)
     uniform_gap = spectral_gap(uniform_matrix)
     gaps = []

@@ -29,7 +29,6 @@ import hashlib
 import json
 import os
 import sys
-from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -60,21 +59,6 @@ def _parameter_hash(cfg: dict) -> str:
     payload = {k: v for k, v in cfg.items() if k != "out"}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _parse_epsilon(cfg, default=None) -> float:
-    raw = cfg.get("epsilon", default)
-    if raw is None:
-        raise ValidationError("this experiment needs an \"epsilon\" decimal string")
-    if not isinstance(raw, str):
-        raise ValidationError("epsilon must be a decimal string")
-    try:
-        eps = float(Decimal(raw))
-    except (InvalidOperation, ValueError) as exc:
-        raise ValidationError(f"bad epsilon {raw!r}") from exc
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"epsilon {eps} must lie in (0, 1)")
-    return eps
 
 
 def _state_str(state, kind: str) -> str:
@@ -112,13 +96,8 @@ class _Run:
         if chain is None:
             raise ValidationError("config needs a \"chain\" field")
         if chain == "me":
-            for key in ("bias", "n1", "n0"):
-                if key not in self.cfg:
-                    raise ValidationError(f"chain \"me\" needs \"{key}\"")
-            bias = kernels.make_bias(self.cfg["bias"])
-            return kernels.make_kernel("me", bias=bias,
-                                       n1=model.parse_int(self.cfg["n1"], "n1"),
-                                       n0=model.parse_int(self.cfg["n0"], "n0"))
+            return kernels.make_kernel("me", bias=kernels.make_bias(self.cfg.get("bias")),
+                                       n1=self.cfg.get("n1"), n0=self.cfg.get("n0"))
         if "model" not in self.cfg:
             raise ValidationError(f"chain {chain!r} needs a \"model\" section")
         prob_set, partition, tree = model.model_from_config(self.cfg["model"])
@@ -207,9 +186,7 @@ def _parse_tmax(run: _Run) -> int | None:
     raw = run.cfg.get("tmax")
     if raw is None:
         return None
-    tmax = model.parse_int(raw, "tmax")
-    if tmax < 1:
-        raise ValidationError(f"\"tmax\" must be a positive integer, got {tmax}")
+    tmax = model.parse_int(raw, "tmax", low=1)
     analysis.check_horizon(tmax)
     return tmax
 
@@ -231,7 +208,7 @@ def _exp_tv(run: _Run):
 
 def _exp_mix(run: _Run):
     kernel = run.build_chain()
-    eps = _parse_epsilon(run.cfg)
+    eps = model.parse_probability(run.cfg.get("epsilon"), "epsilon")
     tmax = _parse_tmax(run)
     space, matrix, pi = run.solve(kernel)
     # dense for the scan, as in _exp_tv
@@ -250,10 +227,8 @@ def _exp_decompose(run: _Run):
     fix = run.cfg.get("fix_classes", [1])
     if not isinstance(fix, list) or not fix:
         raise ValidationError("fix_classes must be a nonempty list of class labels")
-    fix = [model.parse_int(c, "a fix_classes label") for c in fix]
-    k = kernel.partition.k
-    if any(not 1 <= c <= k for c in fix):
-        raise ValidationError(f"fix_classes labels must lie in 1..{k}, got {fix}")
+    fix = [model.parse_int(c, "a fix_classes label", low=1, high=kernel.partition.k)
+           for c in fix]
     space, matrix = run.build(kernel)
     # closed-form weights: strongly biased word chains have stationary
     # masses below the generic solver's resolution
@@ -341,11 +316,8 @@ def _exp_congestion(run: _Run):
 
 def _exp_hitting(run: _Run):
     kernel = run.build_chain("me")
-    if "trials" not in run.cfg:
-        raise ValidationError("hitting needs \"trials\"")
-    trials = model.parse_int(run.cfg["trials"], "trials")
-    summary = exclusion.hitting_time_to_top(kernel.bias, kernel.n1, kernel.n0, trials,
-                                            run.seed)
+    summary = exclusion.hitting_time_to_top(kernel.bias, kernel.n1, kernel.n0,
+                                            run.cfg.get("trials"), run.seed)
     run.detail_header = ["row_type", "trial", "steps", "mean", "max", "area", "ratio"]
     run.detail += [["trial", idx, steps, None, None, None, None]
                    for idx, steps in enumerate(summary.trials)]
@@ -353,7 +325,7 @@ def _exp_hitting(run: _Run):
                        summary.normalized_mean])
     run.result(kernel.n1 + kernel.n0)
     run.summary += [
-        f"trials: {trials}",
+        f"trials: {len(summary.trials)}",
         f"mean hitting time: {summary.mean:.6g}",
         f"mean / (n1*n0): {summary.normalized_mean:.6g}",
     ]
@@ -368,14 +340,14 @@ def _scaling_family(run: _Run):
         if family == "uniform":
             return lambda n: kernels.AdjacentTranspositionChain(model.uniform_set(n))
         if isinstance(family, str) and family.startswith("constant:"):
-            p = model.parse_probability(family.split(":", 1)[1])
+            p = model.parse_probability(family.split(":", 1)[1], "family probability")
             return lambda n: kernels.AdjacentTranspositionChain(
                 model.constant_bias_set(n, p))
         raise ValidationError(
             "mnn scaling needs family \"uniform\" or \"constant:<p>\"")
     if not (isinstance(family, str) and family.startswith("constant:")):
         raise ValidationError("me scaling needs family \"constant:<p>\"")
-    p = model.parse_probability(family.split(":", 1)[1])
+    p = model.parse_probability(family.split(":", 1)[1], "family probability")
 
     def build(total):
         n1 = total // 2
@@ -396,7 +368,8 @@ def _exp_scaling(run: _Run):
     metric = run.cfg.get("metric", "relaxation")
     if metric not in ("relaxation", "mix"):
         raise ValidationError("metric must be \"relaxation\" or \"mix\"")
-    eps = _parse_epsilon(run.cfg, default="0.25") if metric == "mix" else None
+    eps = (model.parse_probability(run.cfg.get("epsilon", "0.25"), "epsilon")
+           if metric == "mix" else None)
     family = _scaling_family(run)
 
     sizes = sorted(sizes)
@@ -424,11 +397,8 @@ def _exp_scaling(run: _Run):
 
 def _exp_fill_check(run: _Run):
     n = model.parse_int(run.cfg.get("n", 3), "n")
-    count = model.parse_int(run.cfg.get("count", 200), "count")
-    if count < 1:
-        raise ValidationError(f"fill-check needs a positive \"count\", got {count}")
-    violations, gaps, uniform_gap = analysis.fill_spot_check(n, count, run.seed,
-                                                             budget=run.budget)
+    violations, gaps, uniform_gap = analysis.fill_spot_check(n, run.cfg.get("count", 200),
+                                                             run.seed, budget=run.budget)
     run.detail_header = ["instance", "gap", "uniform_gap", "ok"]
     run.detail += [[idx, gap, uniform_gap, idx not in violations]
                    for idx, gap in enumerate(gaps)]
@@ -494,9 +464,7 @@ def run_config(cfg: dict, out_dir=None, seed=None, budget=None, quiet=False) -> 
     """Execute an already-parsed experiment config; returns the exit code."""
     try:
         resolved_seed = model.parse_int(seed if seed is not None else cfg.get("seed", 0),
-                                        "seed")
-        if resolved_seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {resolved_seed}")
+                                        "seed", low=0)
         resolved_budget = model.parse_int(budget if budget is not None else
                                           cfg.get("budget", analysis.DEFAULT_BUDGET),
                                           "budget")

@@ -20,8 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernels import (GeneralizedExclusionChain, _check_square_region, sample_step,
-                      square_of)
+from .kernels import GeneralizedExclusionChain, _exclusion_sizes, sample_step, square_of
+from .model import parse_int
 from .permcore import transpose
 
 RIGHT = "R"
@@ -141,6 +141,7 @@ def measure_boundedness(bias, n1: int, n0: int, *, budget: int = 50_000,
     word and flagged as a lower-confidence estimate; without the fallback
     the budget overrun is an error.
     """
+    n1, n0 = _exclusion_sizes(bias, n1, n0)
     count = math.comb(n1 + n0, n1)
     if count <= budget:
         return _boundedness_over(all_words(n1, n0), bias, exact=True)
@@ -202,11 +203,8 @@ def hitting_time_to_top(bias, n1: int, n0: int, trials: int, seed: int) -> Hitti
     call: the trials share a memo of its values (up to ``_HIT_MEMO_MAX``
     entries), so the bias must be a function of (word, i) alone.
     """
-    if n1 < 0 or n0 < 0:
-        raise ValidationError(f"hitting needs n1, n0 >= 0, got n1={n1}, n0={n0}")
-    if trials < 1:
-        raise ValidationError(f"hitting needs at least one trial, got {trials}")
-    _check_square_region(bias, n1, n0)
+    n1, n0 = _exclusion_sizes(bias, n1, n0)
+    trials = parse_int(trials, "trials", low=1)
     known = getattr(bias, "known_min_ratio", None)
     if known is not None and known <= 1.0:
         warnings.warn(

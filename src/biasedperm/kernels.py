@@ -3,8 +3,9 @@
 Each chain is a :class:`ChainKernel`, and its ``transitions`` method is
 the one place its row is built: a dict mapping target state to
 probability, with the self-loop entry included so each row sums to exactly
-one.  Enumeration is the primitive; sampling (:func:`sample_step`) is
-derived from it, which keeps row-stochasticity directly testable.
+one.  Enumeration is the primitive; sampling (:func:`sample_step`, and
+:func:`sample_steps` for many draws from one state) is derived from it,
+which keeps row-stochasticity directly testable.
 
 Every chain is a transposition chain: a kernel lists its (i, j, mass)
 transpositions from a state and one builder (:func:`_transposition_row`)
@@ -33,12 +34,13 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
-from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
+
 from .errors import PropertyViolationError, ValidationError
-from .model import (ClassPartition, ProbabilitySet, _parse_pair_key, parse_int, parse_real,
-                    validate_kclass)
+from .model import (ClassPartition, ProbabilitySet, _check_open_interval, _parse_pair_key,
+                    parse_int, parse_probability, parse_real, validate_kclass)
 from .permcore import project, transpose, validate_permutation
 from . import treerep
 
@@ -162,9 +164,7 @@ def constant_bias(p: float):
     swap happens with probability 1 - p, so every square has bias ratio
     p / (1 - p).
     """
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValidationError(f"constant bias p={p} must lie in (0, 1)")
+    p = _check_open_interval(p, "constant bias p")
 
     def bias(word, i):
         return p if word[i - 1] == 1 else 1.0 - p
@@ -194,12 +194,10 @@ def square_table_bias(table: dict):
     with probability lambda/(1+lambda) and removing it with 1/(1+lambda).
     """
     try:
-        h, w = parse_int(table["h"], "h"), parse_int(table["w"], "w")
+        h, w = parse_int(table["h"], "h", low=1), parse_int(table["w"], "w", low=1)
         raw = table["bias"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad square-bias table: {exc}") from exc
-    if h < 1 or w < 1:
-        raise ValidationError(f"square-bias table region {h}x{w} has no squares")
     if not isinstance(raw, dict):
         raise ValidationError(f"square-bias table: \"bias\" must be an object, got {raw!r}")
     lam: dict[tuple[int, int], float] = {}
@@ -225,13 +223,16 @@ def square_table_bias(table: dict):
     return bias
 
 
-def _check_square_region(bias, n1: int, n0: int):
-    """Refuse a square-bias table without the rows 1..n1 and columns 1..n0
-    that the swaps of words with n1 ones and n0 zeros reach (:func:`square_of`)."""
+def _exclusion_sizes(bias, n1, n0) -> tuple[int, int]:
+    """(n1, n0) of words with n1 ones and n0 zeros under ``bias``: integers
+    >= 0, refused where a square-bias table lacks the rows 1..n1 and columns
+    1..n0 that the words' swaps reach (:func:`square_of`)."""
+    n1, n0 = parse_int(n1, "n1", low=0), parse_int(n0, "n0", low=0)
     h, w = getattr(bias, "region", (n1, n0))
     if h < n1 or w < n0:
         raise ValidationError(f"square-bias table region {h}x{w} does not cover the "
                               f"{n1}x{n0} region of words with n1={n1}, n0={n0}")
+    return n1, n0
 
 
 def word_hash_bias(word, i):
@@ -253,11 +254,7 @@ def make_bias(spec: str):
     if spec == "word-hash":
         return word_hash_bias
     if spec.startswith("constant:"):
-        try:
-            p = float(Decimal(spec.split(":", 1)[1]))
-        except Exception as exc:
-            raise ValidationError(f"bad bias spec {spec!r}") from exc
-        return constant_bias(p)
+        return constant_bias(parse_probability(spec.split(":", 1)[1], "constant bias"))
     if spec.startswith("square-dependent:"):
         path = Path(spec.split(":", 1)[1])
         try:
@@ -375,12 +372,10 @@ class SameClassChain(ChainKernel):
     exchanged with its nearest class-mate to the left, if one exists."""
 
     def __init__(self, prob_set: ProbabilitySet, partition: ClassPartition, cls: int):
-        if not 1 <= cls <= partition.k:
-            raise ValidationError(f"class {cls} outside 1..{partition.k}")
         self.prob_set = prob_set
         self.partition = partition
-        self.cls = cls
-        self.name = f"mi:{cls}"
+        self.cls = parse_int(cls, "the mi class", low=1, high=partition.k)
+        self.name = f"mi:{self.cls}"
 
     def transitions(self, state):
         sigma = validate_permutation(state, self.partition.n)
@@ -457,11 +452,7 @@ class GeneralizedExclusionChain(ChainKernel):
 
     def __init__(self, bias, n1: int, n0: int):
         self.bias = bias
-        self.n1 = int(n1)
-        self.n0 = int(n0)
-        if self.n1 < 0 or self.n0 < 0:
-            raise ValidationError(f"me needs n1, n0 >= 0, got n1={n1}, n0={n0}")
-        _check_square_region(bias, self.n1, self.n0)
+        self.n1, self.n0 = _exclusion_sizes(bias, n1, n0)
 
     def transitions(self, state):
         word = tuple(state)
@@ -499,9 +490,9 @@ def make_kernel(name: str, *, prob_set=None, partition=None, tree=None,
         return ClassTranspositionChain(_need(prob_set, "mtk needs a model"),
                                        _need(partition, "mtk needs a class partition"))
     if name.startswith("mi:"):
-        cls = parse_int(name.split(":", 1)[1], "the mi class")
         return SameClassChain(_need(prob_set, "mi needs a model"),
-                              _need(partition, "mi needs a class partition"), cls)
+                              _need(partition, "mi needs a class partition"),
+                              name.split(":", 1)[1])
     if name == "mk1":
         return CrossClassChain(_need(prob_set, "mk1 needs a model"),
                                _need(partition, "mk1 needs a class partition"))
@@ -532,3 +523,15 @@ def sample_step(kernel: ChainKernel, state, rng):
     targets, cum = kernel._row(state)
     u = rng.random()
     return targets[bisect_right(cum, u)]
+
+
+def sample_steps(kernel: ChainKernel, state, rng, size: int):
+    """Draw ``size`` steps from one state at once.
+
+    Returns the row's targets and, per draw, the index of the target
+    drawn: the same draws, from the same stream, as ``size`` calls of
+    :func:`sample_step`, since ``searchsorted(..., side="right")`` is
+    ``bisect_right`` on the same doubles.
+    """
+    targets, cum = kernel._row(state)
+    return targets, np.searchsorted(cum, rng.random(size), side="right")

@@ -8,6 +8,13 @@ Tree-structured sets are built in :mod:`biasedperm.treerep`.  Every family
 hands its upper entries to one fill, :func:`_pairwise`, which is where the
 complement rule p[j][i] = 1 - p[i][j] holds.
 
+Three input rules of the whole package are written here once:
+:func:`parse_int` reads every integer of a config or a public constructor
+(booleans and fractions refused, with optional bounds), :func:`parse_probability`
+reads every decimal-string probability, and :func:`check_memory` raises
+every refusal of work larger than physical memory, the one reader of
+:func:`_physical_memory`.
+
 Indices are 1-based everywhere in the public API and in serialized form.
 All off-diagonal probabilities live strictly inside (0, 1): endpoint values
 break ergodicity of every chain in this package and make bias ratios
@@ -70,9 +77,9 @@ class ClassPartition:
     boundaries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("partition needs n >= 1")
-        b = self.boundaries
+        object.__setattr__(self, "n", parse_int(self.n, "partition n", low=1))
+        b = tuple(parse_int(c, "a boundary") for c in self.boundaries)
+        object.__setattr__(self, "boundaries", b)
         if any(not 1 <= c < self.n for c in b) or list(b) != sorted(set(b)):
             raise ValidationError(
                 f"boundaries must be strictly increasing cut points inside 1..{self.n - 1}, got {b}"
@@ -106,9 +113,7 @@ class ClassPartition:
 
     @classmethod
     def from_sizes(cls, sizes) -> "ClassPartition":
-        sizes = tuple(int(s) for s in sizes)
-        if any(s < 1 for s in sizes):
-            raise ValidationError("class sizes must be positive")
+        sizes = tuple(parse_int(s, "a class size", low=1) for s in sizes)
         cuts = []
         total = 0
         for s in sizes[:-1]:
@@ -199,10 +204,7 @@ class MonotonicityReport:
 def _check_open_interval(value: float, what: str) -> float:
     value = float(value)
     if not 0.0 < value < 1.0:
-        raise ValidationError(
-            f"{what} = {value} is outside the open interval (0, 1); "
-            "boundary probabilities break ergodicity and are rejected"
-        )
+        raise ValidationError(f"{what} = {value} is outside the open interval (0, 1)")
     return value
 
 
@@ -211,6 +213,17 @@ def _physical_memory() -> float:
     if hasattr(os, "sysconf"):
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     return math.inf
+
+
+def check_memory(need: float, what: str, half: bool = False):
+    """Refuse with ``BudgetExceededError`` work whose ``need`` bytes exceed
+    physical memory, or half of it; callers check before allocating."""
+    memory = _physical_memory()
+    if need > (memory / 2 if half else memory):
+        raise BudgetExceededError(
+            f"{what} needs {need / 2**30:.1f} GiB, more than "
+            f"{'half ' if half else ''}the {memory / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def _pairwise(n: int, entries) -> ProbabilitySet:
@@ -223,13 +236,7 @@ def _pairwise(n: int, entries) -> ProbabilitySet:
     with ``BudgetExceededError`` before anything is allocated: the fill is
     only the model, and every use of it needs room beside it.
     """
-    need = 8 * n * n
-    memory = _physical_memory()
-    if need > memory / 2:
-        raise BudgetExceededError(
-            f"the {n} x {n} probability matrix needs {need / 2**30:.1f} GiB, "
-            f"more than half the {memory / 2**30:.1f} GiB of physical memory"
-        )
+    check_memory(8 * n * n, f"the {n} x {n} probability matrix", half=True)
     p = np.full((n, n), np.nan)
     for i, j, v in entries:
         v = float(v)
@@ -247,8 +254,7 @@ def build_general(n: int, entries) -> ProbabilitySet:
     unordered pair must be supplied exactly once; the complementary entry
     is filled as 1 - p.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = parse_int(n, "n", low=1)
     seen = set()
 
     def checked():
@@ -389,30 +395,34 @@ def random_monotone_set(n: int, rng, low: float = 0.5, high: float = 0.99) -> Pr
     return build_general(n, entries)
 
 
-def parse_probability(text) -> float:
-    """Parse a decimal-string probability from a config file."""
-    if isinstance(text, bool) or not isinstance(text, str):
-        raise ValidationError(
-            f"probabilities must be decimal strings, got {text!r}"
-        )
+def parse_probability(text, what: str) -> float:
+    """Parse a decimal-string probability, which must lie in (0, 1)."""
+    if not isinstance(text, str):
+        raise ValidationError(f"{what} must be a decimal string, got {text!r}")
     try:
         value = float(Decimal(text))
     except (InvalidOperation, ValueError) as exc:
-        raise ValidationError(f"bad probability string {text!r}") from exc
-    return _check_open_interval(value, f"probability {text!r}")
+        raise ValidationError(f"bad {what} {text!r}") from exc
+    return _check_open_interval(value, f"{what} {text!r}")
 
 
-def parse_int(value, what: str) -> int:
-    """Parse an integer field of a config file.
+def parse_int(value, what: str, low: int | None = None, high: int | None = None) -> int:
+    """Parse an integer of a config file or a constructor's argument.
 
-    Booleans and non-integral numbers are refused rather than truncated.
+    Booleans and non-integral numbers are refused rather than truncated,
+    and so is a value below ``low`` or above ``high`` where they are given
+    (``high`` only with ``low``).
     """
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     try:
-        return int(value)
+        value = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from exc
+    if (low is not None and value < low) or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValidationError(f"{what} must be {span}, got {value}")
+    return value
 
 
 def parse_real(value, what: str) -> float:
@@ -461,16 +471,16 @@ def model_from_config(cfg: dict):
                 not isinstance(e, (list, tuple)) or len(e) != 3 for e in raw):
             raise ValidationError("general entries must be [i, j, \"p\"] triples")
         entries = [(parse_int(i, "an entry's i"), parse_int(j, "an entry's j"),
-                    parse_probability(s)) for i, j, s in raw]
-        return build_general(parse_int(cfg["n"], "model n"), entries), None, None
+                    parse_probability(s, "probability")) for i, j, s in raw]
+        return build_general(cfg["n"], entries), None, None
     if kind == "kclass":
         _require_keys(cfg, {"type", "n", "boundaries", "q"})
         if not (isinstance(cfg["boundaries"], (list, tuple))
                 and isinstance(cfg["q"], dict)):
             raise ValidationError("kclass models need a boundaries list and a q object")
-        part = ClassPartition(parse_int(cfg["n"], "model n"),
-                              tuple(parse_int(c, "a boundary") for c in cfg["boundaries"]))
-        q = {_parse_pair_key(k): parse_probability(v) for k, v in cfg["q"].items()}
+        part = ClassPartition(cfg["n"], tuple(cfg["boundaries"]))
+        q = {_parse_pair_key(k): parse_probability(v, "probability")
+             for k, v in cfg["q"].items()}
         return build_kclass(KClassParams(partition=part, q=q)), part, None
     if kind == "weights":
         _require_keys(cfg, {"type", "w"})

@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.  Every
 tolerance is pinned here; nothing is deferred to later calibration.
-The suite is the slow part of the test tree: about 50 s on two cores,
-of which 25-40 s is criterion 6b (exact worst-start scans up to 924
-states and two-start brackets up to 184,756 states).
+The suite is the slow part of the test tree: about 25 s on two cores,
+most of it criterion 6b (exact worst-start scans up to 924 states and
+two-start brackets up to 184,756 states).
 """
 
 import math
@@ -47,7 +47,7 @@ from biasedperm.kernels import (
     SameClassChain,
     TreeSwapChain,
     constant_bias,
-    sample_step,
+    sample_steps,
     word_hash_bias,
 )
 
@@ -369,14 +369,12 @@ def test_criterion_10_sampler_fidelity():
     for kernel, state in cases:
         row = kernel.transitions(state)
         rng = np.random.default_rng(90210)
-        counts = {}
-        for _ in range(draws):
-            nxt = sample_step(kernel, state, rng)
-            counts[nxt] = counts.get(nxt, 0) + 1
+        targets, picks = sample_steps(kernel, state, rng, draws)
+        counts = dict(zip(targets, np.bincount(picks, minlength=len(targets)).tolist()))
         for target, p in row.items():
             if p == 0.0:
                 continue
-            observed = counts.get(target, 0)
+            observed = counts[target]
             if p == 1.0:  # degenerate row: the draw is certain
                 assert observed == draws
                 continue

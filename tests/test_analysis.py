@@ -24,7 +24,7 @@ from biasedperm.model import (
     random_monotone_set,
     uniform_set,
 )
-from biasedperm import analysis, exclusion, permcore
+from biasedperm import analysis, exclusion, model, permcore
 from biasedperm.analysis import (
     blocks_by_class_positions,
     build_csr,
@@ -112,7 +112,7 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("params", [dict(n1=-1, n0=5), dict(n1=3, n0=-2)])
     def test_negative_binary_sizes_refused(self, params):
-        with pytest.raises(ValidationError, match="n1, n0 >= 0"):
+        with pytest.raises(ValidationError, match="n[01] must be >= 0"):
             enumerate_states("binary", **params)
 
     @pytest.mark.parametrize("sizes", [[2.7, 1], [2, 0.5], [True, 2]])
@@ -490,13 +490,13 @@ class TestCsrPipeline:
         matrix = build_csr(AdjacentTranspositionChain(uniform_set(6)),
                            enumerate_states("permutations", n=6))
         need = 2 * 8 * 720 ** 2
-        monkeypatch.setattr(analysis, "_physical_memory", lambda: need)
+        monkeypatch.setattr(model, "_physical_memory", lambda: need)
         assert np.allclose(stationary_exact(matrix), 1 / 720)
 
         def no_solve(*args):
             raise AssertionError("the system was solved")
 
-        monkeypatch.setattr(analysis, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
         monkeypatch.setattr(np.linalg, "solve", no_solve)
         with pytest.raises(BudgetExceededError, match="physical memory"):
             stationary_exact(matrix)
@@ -971,9 +971,9 @@ class TestMixing:
         monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
         # two blocks padded to 128 columns, plus two buffers per worker
         need = 8 * 252 * 128 * (2 + 2 * 2)
-        monkeypatch.setattr(analysis, "_physical_memory", lambda: need)
+        monkeypatch.setattr(model, "_physical_memory", lambda: need)
         assert mixing_time_exact(matrix, pi, 0.25) == 240
-        monkeypatch.setattr(analysis, "_physical_memory", lambda: need - 1)
+        monkeypatch.setattr(model, "_physical_memory", lambda: need - 1)
         with pytest.raises(BudgetExceededError, match="physical memory"):
             tv_curve(matrix, pi, 5)
         with pytest.raises(BudgetExceededError, match="physical memory"):

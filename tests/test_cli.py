@@ -96,7 +96,7 @@ class TestValidation:
     def test_solve_beyond_physical_memory_exit_2(self, tmp_path, capsys,
                                                   monkeypatch):
         # n = 7 needs 2 * 8 * 5040^2 bytes (388 MiB) for the LU
-        monkeypatch.setattr(analysis, "_physical_memory", lambda: 2**28)
+        monkeypatch.setattr(model, "_physical_memory", lambda: 2**28)
         cfg = write_config(tmp_path, {
             "model": {"type": "kclass", "n": 7, "boundaries": [3],
                       "q": {"(1,2)": "0.8"}},
@@ -188,6 +188,27 @@ MALFORMED = {
                            "experiment": "scaling", "sizes": [3, 3, 4, 5]},
     "out-number": {"model": UNIFORM3, "chain": "mnn", "experiment": "gap", "out": 5},
     "seed-negative": {"experiment": "fill-check", "n": 3, "count": 2, "seed": -1},
+    "epsilon-text": {"model": UNIFORM3, "chain": "mnn", "experiment": "mix",
+                     "epsilon": "abc"},
+    "epsilon-one": {"model": UNIFORM3, "chain": "mnn", "experiment": "mix",
+                    "epsilon": "1"},
+    "epsilon-number": {"model": UNIFORM3, "chain": "mnn", "experiment": "mix",
+                       "epsilon": 0.25},
+    "epsilon-bool": {"model": UNIFORM3, "chain": "mnn", "experiment": "mix",
+                     "epsilon": True},
+    "bias-constant-text": {"chain": "me", "bias": "constant:abc", "n1": 2, "n0": 2,
+                           "experiment": "balance"},
+    "bias-constant-one": {"chain": "me", "bias": "constant:1", "n1": 2, "n0": 2,
+                          "experiment": "balance"},
+    "hitting-trials-zero": {"chain": "me", "bias": "constant:0.75", "n1": 2, "n0": 2,
+                            "experiment": "hitting", "trials": 0},
+    "hitting-trials-fraction": {"chain": "me", "bias": "constant:0.75", "n1": 2,
+                                "n0": 2, "experiment": "hitting", "trials": 2.5},
+    "fix-classes-zero": {"model": KCLASS4, "chain": "mk1", "experiment": "decompose",
+                         "fix_classes": [0]},
+    "chain-mi-zero": {"model": KCLASS4, "chain": "mi:0", "experiment": "gap"},
+    "scaling-family-text": {"chain": "mnn", "family": "constant:abc",
+                            "experiment": "scaling", "sizes": [3, 4, 5]},
 }
 
 

@@ -29,6 +29,7 @@ from biasedperm.kernels import (
     make_bias,
     make_kernel,
     sample_step,
+    sample_steps,
     square_table_bias,
     word_hash_bias,
 )
@@ -440,6 +441,28 @@ class TestSampler:
         kernel = ParticleProcessChain(uniform_set(2), part)
         rng = np.random.default_rng(0)
         assert sample_step(kernel, (1, 1), rng) == (1, 1)
+
+    def test_batched_draws_are_the_scalar_draws(self):
+        # criterion 10's seven chains and states
+        prob_set, partition = seeded_kclass(4, 2, seed=[515, 0])
+        word = permcore.project((2, 1, 4, 3), partition)
+        big_class = 1 + partition.sizes.index(max(partition.sizes))
+        cases = [
+            (AdjacentTranspositionChain(prob_set), (2, 1, 4, 3)),
+            (ClassTranspositionChain(prob_set, partition), (2, 1, 4, 3)),
+            (SameClassChain(prob_set, partition, big_class), (2, 1, 4, 3)),
+            (CrossClassChain(prob_set, partition), word),
+            (ParticleProcessChain(prob_set, partition), word),
+            (TreeSwapChain(treerep.parse_tree(EXAMPLE_TREE)), (6, 1, 4, 3, 2, 7, 5)),
+            (GeneralizedExclusionChain(word_hash_bias, 2, 3), (1, 0, 1, 0, 0)),
+        ]
+        for kernel, state in cases:
+            scalar, batched = np.random.default_rng(90210), np.random.default_rng(90210)
+            expected = [sample_step(kernel, state, scalar) for _ in range(10_000)]
+            targets, picks = sample_steps(kernel, state, batched, 10_000)
+            assert [targets[i] for i in picks] == expected
+            assert len(set(expected)) > 1
+            assert batched.random() == scalar.random()  # the streams stay in step
 
     def test_empirical_frequencies_match_row(self):
         ps, part = seeded_kclass(4, 2, seed=3)

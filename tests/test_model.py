@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from biasedperm.model import (
     uniform_set,
     validate_kclass,
 )
-from biasedperm import analysis, model, treerep
+from biasedperm import analysis, exclusion, kernels, model, treerep
 
 from conftest import EXAMPLE_TREE, random_league_tree, seeded_kclass, seeded_kclass_params
 
@@ -318,7 +320,10 @@ class TestFormerBuilders:
 
 class TestMatrixBudget:
     def test_the_probe_is_the_solvers_probe(self):
-        assert analysis._physical_memory is model._physical_memory
+        # the solve and the TV scan refuse through the model's one check,
+        # so patching model._physical_memory covers every refusal
+        assert analysis.check_memory is model.check_memory
+        assert not hasattr(analysis, "_physical_memory")
 
     def test_refused_before_allocation_or_reading_entries(self, monkeypatch):
         def entries():
@@ -356,3 +361,48 @@ class TestMatrixBudget:
         monkeypatch.setattr(model.np, "full", no_fill)
         with pytest.raises(BudgetExceededError, match="half the 7.8 GiB"):
             model._pairwise(30_000, entries())
+
+
+_TABLE_2X2 = {"h": 2, "w": 2, "bias": {f"({x},{y})": "2.0" for x in (1, 2) for y in (1, 2)}}
+
+# library entry points whose integer arguments once skipped parse_int: each
+# was truncated, accepted, or ended in a TypeError, ValueError or KeyError
+_BAD_INTEGERS = {
+    "enumerate-n-fraction": lambda: analysis.enumerate_states("permutations", n=2.5),
+    "enumerate-n-bool": lambda: analysis.enumerate_states("permutations", n=True),
+    "me-n1-fraction": lambda: kernels.GeneralizedExclusionChain(
+        kernels.constant_bias(0.75), 2.5, 2),
+    "me-n1-bool": lambda: kernels.GeneralizedExclusionChain(
+        kernels.constant_bias(0.75), True, 2),
+    "hitting-n1-fraction": lambda: exclusion.hitting_time_to_top(
+        kernels.constant_bias(0.75), 2.5, 2, 3, 0),
+    "hitting-trials-fraction": lambda: exclusion.hitting_time_to_top(
+        kernels.constant_bias(0.75), 2, 2, 2.5, 0),
+    "hitting-trials-bool": lambda: exclusion.hitting_time_to_top(
+        kernels.constant_bias(0.75), 2, 2, True, 0),
+    "boundedness-negative": lambda: exclusion.measure_boundedness(
+        kernels.constant_bias(0.75), -1, 3),
+    "boundedness-fraction": lambda: exclusion.measure_boundedness(
+        kernels.constant_bias(0.75), 2.5, 2),
+    "boundedness-small-table": lambda: exclusion.measure_boundedness(
+        kernels.square_table_bias(_TABLE_2X2), 3, 3),
+    "partition-n-fraction": lambda: ClassPartition(2.5, ()),
+    "general-n-fraction": lambda: build_general(2.5, []),
+    "fill-check-count-fraction": lambda: analysis.fill_spot_check(3, 2.5, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_BAD_INTEGERS))
+def test_library_integers_go_through_parse_int(name):
+    with pytest.raises(ValidationError):
+        _BAD_INTEGERS[name]()
+
+
+@pytest.mark.parametrize("value,low,high,message", [
+    (0, 1, None, "k must be >= 1, got 0"),
+    (4, 1, 3, "k must be in 1..3, got 4"),
+])
+def test_parse_int_bounds(value, low, high, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        model.parse_int(value, "k", low, high)
+    assert model.parse_int("2", "k", 0) == 2 and model.parse_int(3.0, "k", 1, 3) == 3
