@@ -50,10 +50,10 @@ from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import area, bottom_word, top_word
 from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
                       GeneralizedExclusionChain)
-from .model import (ClassPartition, ProbabilitySet, check_memory, check_weak_monotonicity,
-                    parse_int, random_monotone_set, uniform_set, validate_kclass)
+from .model import (DEFAULT_BUDGET, ClassPartition, ProbabilitySet, check_memory,
+                    check_weak_monotonicity, parse_int, random_monotone_set, uniform_set,
+                    validate_kclass)
 
-DEFAULT_BUDGET = 50_000
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
 _RATIO_TOL = 1e-9  # relative imbalance of a stored pair the edge-ratio pi accepts
 _TV_BLOCK = 128  # starts per column block of the TV scan; 64..256 time alike
@@ -123,8 +123,7 @@ def enumerate_states(kind: str, *, n: int | None = None, multiplicities=None,
     count = math.prod(map(math.comb, accumulate(sizes), sizes))  # the multinomial
     if count > budget:
         raise BudgetExceededError(f"{count} states exceed the budget of {budget}")
-    labels = [label for label, c in enumerate(sizes, first) for _ in range(c)]
-    return StateSpace(kind=kind, states=_rearrangements(labels))
+    return StateSpace(kind=kind, states=_rearrangements(permcore.sorted_labels(sizes, first)))
 
 
 def space_for_kernel(kernel: ChainKernel, budget: int = DEFAULT_BUDGET) -> StateSpace:
@@ -507,15 +506,20 @@ def _tv_iter(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray):
 
 def tv_curve(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray, tmax: int) -> np.ndarray:
     """Worst-start total variation distance at t = 0..tmax (at most _TV_HORIZON)."""
-    check_horizon(tmax)
+    tmax = check_horizon(tmax)
     with closing(_tv_iter(matrix, pi)) as it:
         return np.array([next(it)[1] for _ in range(tmax + 1)])
 
 
-def check_horizon(tmax):
-    """Refuse a tmax beyond ``_TV_HORIZON`` (None sets no tmax)."""
-    if tmax is not None and tmax > _TV_HORIZON:
+def check_horizon(tmax) -> int | None:
+    """``tmax`` read as an integer >= 0 (``parse_int``) and refused beyond
+    ``_TV_HORIZON``; None, setting no tmax, passes."""
+    if tmax is None:
+        return None
+    tmax = parse_int(tmax, "tmax", low=0)
+    if tmax > _TV_HORIZON:
         raise BudgetExceededError(f"tmax {tmax} exceeds the TV horizon of {_TV_HORIZON} steps")
+    return tmax
 
 
 def _tau(curve, eps: float) -> int:
@@ -545,8 +549,7 @@ def mixing_time_exact(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray, eps: flo
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
-    check_horizon(tmax)
-    end = tmax
+    end = check_horizon(tmax)
     curve = []
     with closing(_tv_iter(matrix, pi)) as it:
         for t, value in it:

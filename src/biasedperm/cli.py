@@ -186,9 +186,7 @@ def _parse_tmax(run: _Run) -> int | None:
     raw = run.cfg.get("tmax")
     if raw is None:
         return None
-    tmax = model.parse_int(raw, "tmax", low=1)
-    analysis.check_horizon(tmax)
-    return tmax
+    return analysis.check_horizon(model.parse_int(raw, "tmax", low=1))
 
 
 def _exp_tv(run: _Run):

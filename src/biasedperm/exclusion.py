@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .kernels import GeneralizedExclusionChain, _exclusion_sizes, sample_step, square_of
-from .model import parse_int
+from .model import DEFAULT_BUDGET, parse_int
 from .permcore import transpose
 
 RIGHT = "R"
@@ -131,7 +131,7 @@ def all_words(n1: int, n0: int):
         yield tuple(word)
 
 
-def measure_boundedness(bias, n1: int, n0: int, *, budget: int = 50_000,
+def measure_boundedness(bias, n1: int, n0: int, *, budget: int = DEFAULT_BUDGET,
                         sample_steps: int | None = None, seed: int = 0) -> BiasReport:
     """Minimum of bias(word, i) / bias(swapped, i) over active (1, 0) sites.
 

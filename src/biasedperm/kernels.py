@@ -7,6 +7,11 @@ one.  Enumeration is the primitive; sampling (:func:`sample_step`, and
 :func:`sample_steps` for many draws from one state) is derived from it,
 which keeps row-stochasticity directly testable.
 
+A kernel's states are the orderings of the sorted label list it fixes
+when built, the first state its space lists.  Every row and class word
+starts from :meth:`ChainKernel.check_state`, which refuses other states by
+the one state rule, :func:`biasedperm.permcore.check_ordering`.
+
 Every chain is a transposition chain: a kernel lists its (i, j, mass)
 transpositions from a state and one builder (:func:`_transposition_row`)
 makes the row.  M_nn, M_pp and M_e list theirs by one adjacent-swap rule
@@ -34,6 +39,7 @@ import hashlib
 import json
 import math
 from bisect import bisect_right
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +47,7 @@ import numpy as np
 from .errors import PropertyViolationError, ValidationError
 from .model import (ClassPartition, ProbabilitySet, _check_open_interval, _parse_pair_key,
                     parse_int, parse_probability, parse_real, validate_kclass)
-from .permcore import project, transpose, validate_permutation
+from .permcore import check_ordering, project, sorted_labels, transpose
 from . import treerep
 
 
@@ -275,6 +281,16 @@ class ChainKernel:
     name = "?"
     space_kind = "permutations"
 
+    def _set_labels(self, sizes, first: int = 1, what: str | None = None):
+        """Fix the kernel's states as the orderings of ``labels``, ``sizes[c]``
+        copies of ``first + c``; ``what`` names them, by default as permutations."""
+        self.labels = sorted_labels(sizes, first)
+        self._what = what or f"a permutation of 1..{len(self.labels)}"
+
+    def check_state(self, state) -> tuple:
+        """``state`` as a tuple, refused unless it orders the kernel's labels."""
+        return check_ordering(state, self.labels, self._what)
+
     def transitions(self, state) -> dict:
         raise NotImplementedError
 
@@ -285,14 +301,9 @@ class ChainKernel:
         hit = cache.get(state)
         if hit is None:
             row = self.transitions(state)
-            targets = tuple(row)
-            cum = []
-            acc = 0.0
-            for t in targets:
-                acc += row[t]
-                cum.append(acc)
+            cum = list(accumulate(row.values()))
             cum[-1] = max(cum[-1], 1.0)
-            hit = cache[state] = (targets, cum)
+            hit = cache[state] = (tuple(row), cum)
         return hit
 
 
@@ -304,9 +315,10 @@ class AdjacentTranspositionChain(ChainKernel):
 
     def __init__(self, prob_set: ProbabilitySet):
         self.prob_set = prob_set
+        self._set_labels([1] * prob_set.n)
 
     def transitions(self, state):
-        sigma = tuple(state)
+        sigma = self.check_state(state)
         prob = self.prob_set.prob
         return _transposition_row(
             sigma, _adjacent_moves(sigma, lambda i: prob(sigma[i], sigma[i - 1])))
@@ -320,23 +332,21 @@ class _ClassChain(ChainKernel):
         self.prob_set = prob_set
         self.partition = partition
         self.table = validate_kclass(prob_set, partition)
+        if self.space_kind == "words":
+            self._set_labels(partition.sizes, what=f"a word over 1..{partition.k} "
+                                                   f"with label counts {partition.sizes}")
+        else:
+            self._set_labels([1] * partition.n)
 
-    def classes(self, state: tuple) -> tuple:
-        """Class label at each position of a state of the kernel's space.
+    def classes(self, state) -> tuple:
+        """Class label at each position of a state of the kernel's space
+        (:meth:`check_state`).
 
         A word over 1..k carries its labels; the elements of a permutation
         are mapped through the partition.
         """
-        partition = self.partition
-        if self.space_kind == "words":
-            counts = tuple(state.count(c) for c in range(1, partition.k + 1))
-            if len(state) != partition.n or counts != partition.sizes:
-                raise ValidationError(
-                    f"{state} is not a word over 1..{partition.k} with label counts "
-                    f"{partition.sizes}"
-                )
-            return state
-        return project(validate_permutation(state, partition.n), partition)
+        state = self.check_state(state)
+        return state if self.space_kind == "words" else project(state, self.partition)
 
 
 class ClassTranspositionChain(_ClassChain):
@@ -355,7 +365,7 @@ class ClassTranspositionChain(_ClassChain):
         They depend on the state's class word alone, so each word's moves
         are built once per kernel and shared by its permutations.
         """
-        word = self.classes(tuple(state))
+        word = self.classes(state)
         hit = self._moves_by_word.get(word)
         if hit is None:
             hit = self._moves_by_word[word] = tuple(
@@ -376,9 +386,10 @@ class SameClassChain(ChainKernel):
         self.partition = partition
         self.cls = parse_int(cls, "the mi class", low=1, high=partition.k)
         self.name = f"mi:{self.cls}"
+        self._set_labels([1] * partition.n)
 
     def transitions(self, state):
-        sigma = validate_permutation(state, self.partition.n)
+        sigma = self.check_state(state)
         positions = [i for i, c in enumerate(project(sigma, self.partition), 1)
                      if c == self.cls]
         base = 1.0 / len(positions)
@@ -408,7 +419,7 @@ class ParticleProcessChain(_ClassChain):
     space_kind = "words"
 
     def transitions(self, state):
-        word = self.classes(tuple(state))
+        word = self.classes(state)
         table = self.table
         return _transposition_row(
             word, _adjacent_moves(word, lambda i: float(table[word[i], word[i - 1]])))
@@ -429,10 +440,11 @@ class TreeSwapChain(ChainKernel):
         # (a, b, leaves that block the pair, p[a][b]) for every pair a < b
         self.pairs = [(a, b, tree.lca(a, b)[0].leaves, self.prob_set.prob(a, b))
                       for a in range(1, tree.n + 1) for b in range(a + 1, tree.n + 1)]
+        self._set_labels([1] * tree.n)
 
     def transitions(self, state):
         n = self.tree.n
-        sigma = validate_permutation(state, n)
+        sigma = self.check_state(state)
         pos = {x: i for i, x in enumerate(sigma, 1)}
         base = 1.0 / (n * (n - 1) / 2)
         moves = []
@@ -453,18 +465,11 @@ class GeneralizedExclusionChain(ChainKernel):
     def __init__(self, bias, n1: int, n0: int):
         self.bias = bias
         self.n1, self.n0 = _exclusion_sizes(bias, n1, n0)
+        self._set_labels((self.n0, self.n1), 0,
+                         f"a word with {self.n1} ones and {self.n0} zeros")
 
     def transitions(self, state):
-        word = tuple(state)
-        # n1 ones and n0 zeros in a word of length n1 + n0 leave room for
-        # nothing else, so this one check validates the word
-        if not (len(word) == self.n1 + self.n0 and word.count(1) == self.n1
-                and word.count(0) == self.n0):
-            if sum(word) != self.n1 or len(word) != self.n1 + self.n0:
-                raise ValidationError(
-                    f"word {state} does not have {self.n1} ones and {self.n0} zeros"
-                )
-            raise ValidationError(f"exclusion words are over {{0, 1}}, got {word}")
+        word = self.check_state(state)
         bias = self.bias
 
         def swap_prob(i: int) -> float:

@@ -8,11 +8,12 @@ Tree-structured sets are built in :mod:`biasedperm.treerep`.  Every family
 hands its upper entries to one fill, :func:`_pairwise`, which is where the
 complement rule p[j][i] = 1 - p[i][j] holds.
 
-Three input rules of the whole package are written here once:
+Four input rules of the whole package are written here once:
 :func:`parse_int` reads every integer of a config or a public constructor
 (booleans and fractions refused, with optional bounds), :func:`parse_probability`
-reads every decimal-string probability, and :func:`check_memory` raises
-every refusal of work larger than physical memory, the one reader of
+reads every decimal-string probability, :func:`_check_cross_class` bounds
+every cross-class probability, and :func:`check_memory` raises every
+refusal of work larger than physical memory, the one reader of
 :func:`_physical_memory`.
 
 Indices are 1-based everywhere in the public API and in serialized form.
@@ -25,14 +26,17 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from itertools import groupby, islice
+from itertools import accumulate, groupby, islice
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
+
+DEFAULT_BUDGET = 50_000  # states a space may have unless a caller says otherwise
 
 
 @dataclass(frozen=True)
@@ -98,12 +102,7 @@ class ClassPartition:
         """1-based class label of element x."""
         if not 1 <= x <= self.n:
             raise ValidationError(f"element {x} outside 1..{self.n}")
-        c = 1
-        for cut in self.boundaries:
-            if x <= cut:
-                return c
-            c += 1
-        return c
+        return bisect_left(self.boundaries, x) + 1  # one more than the cuts below x
 
     def members(self, c: int) -> tuple[int, ...]:
         edges = (0,) + self.boundaries + (self.n,)
@@ -114,12 +113,7 @@ class ClassPartition:
     @classmethod
     def from_sizes(cls, sizes) -> "ClassPartition":
         sizes = tuple(parse_int(s, "a class size", low=1) for s in sizes)
-        cuts = []
-        total = 0
-        for s in sizes[:-1]:
-            total += s
-            cuts.append(total)
-        return cls(sum(sizes), tuple(cuts))
+        return cls(sum(sizes), tuple(accumulate(sizes[:-1])))
 
 
 @dataclass(frozen=True)
@@ -138,11 +132,7 @@ class KClassParams:
                 f"q must supply exactly the pairs {sorted(wanted)}, got {sorted(got)}"
             )
         for pair, v in self.q.items():
-            v = float(v)
-            if not 0.5 < v < 1.0:
-                raise ValidationError(
-                    f"cross-class probability q{pair}={v} must lie strictly in (1/2, 1)"
-                )
+            _check_cross_class(v, f"cross-class probability q{pair}")
 
 
 @dataclass(frozen=True)
@@ -205,6 +195,15 @@ def _check_open_interval(value: float, what: str) -> float:
     value = float(value)
     if not 0.0 < value < 1.0:
         raise ValidationError(f"{what} = {value} is outside the open interval (0, 1)")
+    return value
+
+
+def _check_cross_class(value: float, what: str) -> float:
+    """A cross-class probability: one of an ordered pair of classes or
+    league branches, which must lie strictly in (1/2, 1)."""
+    value = float(value)
+    if not 0.5 < value < 1.0:
+        raise ValidationError(f"{what}={value} must lie strictly in (1/2, 1)")
     return value
 
 

@@ -1,5 +1,8 @@
-"""Permutations, class projections, and stationary weights.
+"""State labels, permutations, class projections, and stationary weights.
 
+Every state space is the orderings of one sorted label list
+(:func:`sorted_labels`): 1..n, c copies of class label c, or n0 zeros then
+n1 ones; the one state rule, :func:`check_ordering`, accepts exactly those.
 A permutation is a plain tuple of the n distinct integers 1..n; position p
 (1-based) holds element sigma[p-1].  Weights are kept in log space
 throughout: the unnormalized stationary weight is a product of up to
@@ -17,15 +20,22 @@ from .errors import ValidationError
 from .model import ClassPartition, ProbabilitySet
 
 
-def validate_permutation(sigma, n: int | None = None) -> tuple:
-    """sigma as a tuple, refused unless it holds each of 1..n exactly once
-    (n defaults to its length)."""
-    sigma = tuple(sigma)
-    if n is None:
-        n = len(sigma)
-    if len(sigma) != n or set(sigma) != set(range(1, n + 1)):
-        raise ValidationError(f"{sigma} is not a permutation of 1..{n}")
-    return sigma
+def sorted_labels(sizes, first: int = 1) -> list:
+    """The sorted label list of a state space: ``sizes[c]`` copies of the
+    label ``first + c``, for each c in turn."""
+    return [label for label, count in enumerate(sizes, first) for _ in range(count)]
+
+
+def check_ordering(state, labels: list, what: str) -> tuple:
+    """``state`` as a tuple, refused with "<state> is not <what>" unless it
+    sorts to ``labels``, a :func:`sorted_labels` list."""
+    state = tuple(state)
+    try:
+        if sorted(state) == labels:
+            return state
+    except TypeError:  # entries that do not compare, such as a list beside an int
+        pass
+    raise ValidationError(f"{state} is not {what}")
 
 
 def log_weight(sigma, prob_set: ProbabilitySet) -> float:

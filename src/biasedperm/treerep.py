@@ -11,7 +11,8 @@ ancestor is found by walking down from the root until two leaves part.
 
 The tree-strings representation records, for each internal node, the order
 in which the permutation visits the node's leaf descendants, written as
-child labels.  Jointly over all internal nodes this is a bijection with
+child labels: an ordering of the node's branch labels, one per leaf below
+it.  Jointly over all internal nodes this is a bijection with
 permutations.
 """
 
@@ -20,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
-from .model import ProbabilitySet, _pairwise, _parse_pair_key, parse_real
-from .permcore import validate_permutation
+from .model import (ProbabilitySet, _check_cross_class, _pairwise, _parse_pair_key,
+                    parse_probability)
+from .permcore import check_ordering
 
 
 @dataclass
@@ -129,12 +131,8 @@ def _parse_node(obj):
         pair = _parse_pair_key(key)
         if pair not in wanted:
             raise ValidationError(f"node {name!r}: q key {key!r} is not a child pair")
-        v = parse_real(val, f"node {name!r}: q{pair}")
-        if not 0.5 < v < 1.0:
-            raise ValidationError(
-                f"node {name!r}: q{pair}={v} must lie strictly in (1/2, 1)"
-            )
-        q[pair] = v
+        what = f"node {name!r}: q{pair}"
+        q[pair] = _check_cross_class(parse_probability(val, what), what)
     if set(q) != wanted:
         raise ValidationError(
             f"node {name!r} of degree {deg} needs q for the pairs {sorted(wanted)}"
@@ -155,7 +153,7 @@ def induced_probabilities(tree: LeagueTree) -> ProbabilitySet:
 
 def permutation_to_tree_strings(sigma, tree: LeagueTree) -> dict[str, tuple[int, ...]]:
     """Per-node child-label strings read off in permutation order."""
-    sigma = validate_permutation(sigma, tree.n)
+    sigma = check_ordering(sigma, list(range(1, tree.n + 1)), f"a permutation of 1..{tree.n}")
     return {v.name: tuple(v.branch[x] for x in sigma if x in v.leaves)
             for v in tree.internal_nodes}
 
@@ -163,38 +161,21 @@ def permutation_to_tree_strings(sigma, tree: LeagueTree) -> dict[str, tuple[int,
 def tree_strings_to_permutation(strings: dict, tree: LeagueTree) -> tuple:
     """Reconstruct the permutation by bottom-up interleaving.
 
-    Each node merges its children's permutation strings in the relative
-    order its tree string dictates, preserving within-child order; the
-    root's merged string is the permutation.
+    Each node's tree string must order its branch labels
+    (:func:`biasedperm.permcore.check_ordering`); the node merges its
+    children's permutation strings in that relative order, preserving
+    within-child order, and the root's merged string is the permutation.
     """
     def merge(node) -> tuple:
         if isinstance(node, int):
             return (node,)
-        child_strings = [list(merge(c)) for c in node.children]
+        children = [iter(merge(c)) for c in node.children]
         s = strings.get(node.name)
         if s is None:
             raise ValidationError(f"missing tree string for node {node.name!r}")
-        counts = [len(cs) for cs in child_strings]
-        seen = [0] * len(child_strings)
-        out = []
-        for label in s:
-            if not 1 <= label <= len(child_strings):
-                raise ValidationError(
-                    f"node {node.name!r}: label {label} outside 1..{len(child_strings)}"
-                )
-            idx = label - 1
-            if seen[idx] >= counts[idx]:
-                raise ValidationError(
-                    f"node {node.name!r}: label {label} appears more often than "
-                    f"child {label} has leaves"
-                )
-            out.append(child_strings[idx][seen[idx]])
-            seen[idx] += 1
-        if seen != counts:
-            raise ValidationError(
-                f"node {node.name!r}: tree string length {len(s)} does not cover "
-                f"all {sum(counts)} leaf descendants"
-            )
-        return tuple(out)
+        labels = sorted(node.branch.values())
+        s = check_ordering(s, labels, f"an ordering of the branch labels {tuple(labels)} "
+                                      f"of node {node.name!r}")
+        return tuple(next(children[label - 1]) for label in s)
 
     return merge(tree.root)

@@ -70,7 +70,7 @@ def random_league_tree_dict(n: int, rng, max_degree: int = 4) -> dict:
                     for i in range(degree)]
         counter[0] += 1
         q = {
-            f"({a},{b})": float(rng.uniform(0.55, 0.95))
+            f"({a},{b})": repr(float(rng.uniform(0.55, 0.95)))
             for a in range(1, degree + 1) for b in range(a + 1, degree + 1)
         }
         return {"node": f"N{counter[0]}", "children": children, "q": q}

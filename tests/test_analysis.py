@@ -781,6 +781,25 @@ class TestMixing:
         with pytest.raises(BudgetExceededError, match="horizon"):
             mixing_time_exact(matrix, pi, 0.25, tmax)
 
+    @pytest.mark.parametrize("tmax", [-1, -3, 2.5, True])
+    def test_tmax_is_an_integer_at_least_0(self, tmax):
+        # tv_curve once returned [] at -1, a TypeError at 2.5 and read True
+        # as 1; mixing_time_exact at -3 reported a budget overrun at t=0
+        matrix, pi = np.eye(2), np.full(2, 0.5)
+        with pytest.raises(ValidationError, match="tmax must be"):
+            tv_curve(matrix, pi, tmax)
+        with pytest.raises(ValidationError, match="tmax must be"):
+            mixing_time_exact(matrix, pi, 0.25, tmax)
+
+    def test_check_horizon_returns_the_integer_it_reads(self):
+        assert analysis.check_horizon(None) is None
+        assert analysis.check_horizon(0) == 0
+        assert type(analysis.check_horizon(4.0)) is int
+        assert analysis.check_horizon(analysis._TV_HORIZON) == analysis._TV_HORIZON
+        matrix, pi = np.eye(2), np.full(2, 0.5)
+        assert np.array_equal(tv_curve(matrix, pi, 2.0), tv_curve(matrix, pi, 2))
+        assert len(tv_curve(matrix, pi, 0)) == 1
+
     def test_non_monotone_curve_rejected(self):
         with pytest.raises(PropertyViolationError, match="monotone"):
             analysis._tau([0.5, 0.3, 0.4], 0.1)

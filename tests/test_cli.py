@@ -170,6 +170,9 @@ MALFORMED = {
                          "chain": "mnn", "experiment": "stationary"},
     "me-negative-n1": {"chain": "me", "bias": "constant:0.75", "n1": -1, "n0": 2,
                        "experiment": "balance"},
+    "league-q-number": {"model": {"type": "league", "tree": {
+        "node": "A", "children": [1, 2], "q": {"(1,2)": 0.7}}},
+        "chain": "mtree", "experiment": "stationary"},
     "league-q-null": {"model": {"type": "league", "tree": {
         "node": "A", "children": [1, 2], "q": {"(1,2)": None}}},
         "chain": "mtree", "experiment": "stationary"},

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from biasedperm.analysis import (build_csr, check_detailed_balance, enumerate_states,
-                                 stationary_formula)
+                                 space_for_kernel, stationary_formula)
 from biasedperm.errors import PropertyViolationError, ValidationError
 from biasedperm.model import (
     ClassPartition,
     KClassParams,
+    build_general,
     build_kclass,
     check_weak_monotonicity,
     constant_bias_set,
@@ -329,11 +330,12 @@ class TestMe:
         kernel = GeneralizedExclusionChain(constant_bias(0.7), 2, 2)
 
         def former(state):
+            refusal = f"{tuple(state)} is not a word with 2 ones and 2 zeros"
             if sum(state) != 2 or len(state) != 4:
-                raise ValidationError(f"word {state} does not have 2 ones and 2 zeros")
+                raise ValidationError(refusal)
             word = tuple(state)
             if any(x not in (0, 1) for x in word):
-                raise ValidationError(f"exclusion words are over {{0, 1}}, got {word}")
+                raise ValidationError(refusal)
             return _ref_me_row(word, kernel.bias)
 
         try:
@@ -420,6 +422,84 @@ class TestRowSumsAndReversibility:
                     if target != state and mass > 0:
                         back = kernel.transitions(target)
                         assert back.get(state, 0.0) > 0.0
+
+
+def _rule_kernels() -> dict:
+    """The seven kernels over four items: permutations of 1..4, words with
+    class sizes (1, 2, 1), and words with two ones and two zeros."""
+    part = ClassPartition.from_sizes((1, 2, 1))
+    ps = build_kclass(KClassParams(partition=part, q={(1, 2): 0.6, (1, 3): 0.7, (2, 3): 0.8}))
+    tree = treerep.parse_tree({"node": "R", "children": [
+        {"node": "S", "children": [1, 2], "q": {"(1,2)": "0.8"}}, 3, 4],
+        "q": {"(1,2)": "0.6", "(1,3)": "0.7", "(2,3)": "0.9"}})
+    return {"mnn": AdjacentTranspositionChain(ps), "mtk": ClassTranspositionChain(ps, part),
+            "mi:2": SameClassChain(ps, part, 2), "mk1": CrossClassChain(ps, part),
+            "mpp": ParticleProcessChain(ps, part), "mtree": TreeSwapChain(tree),
+            "me": GeneralizedExclusionChain(constant_bias(0.7), 2, 2)}
+
+
+# not a state of any of the seven kernels: wrong lengths, a repeated label,
+# the labels 0 and -1, a wrong multiplicity, entries that do not compare
+_NOT_STATES = [(1, 2, 3), (1, 2, 3, 4, 1), (1, 1, 2, 3), (0, 1, 2, 3), (-1, 1, 2, 3),
+               (1, 2, 2, 2), (1, 1, 1, 0), ([1], 2, 3, 4), ("a", 1, 2, 2)]
+
+# equal-valued stand-ins for a label, each where it was accepted before the
+# state rule: the row is the row of the state it stands for
+_STAND_INS = {"list": list,
+              "1.0": lambda s: tuple(1.0 if x == 1 else x for x in s),
+              "True": lambda s: tuple(True if x == 1 else x for x in s),
+              "-0.0": lambda s: tuple(-0.0 if x == 0 else x for x in s)}
+_ACCEPTED_STAND_INS = (
+    [(name, "list") for name in ("mnn", "mtk", "mi:2", "mk1", "mpp", "mtree", "me")]
+    + [(name, "1.0") for name in ("mtk", "mi:2", "mtree", "me")]
+    + [(name, "True") for name in ("mnn", "mtk", "mi:2", "mtree", "me")]
+    + [("me", "-0.0")])
+
+
+class TestStateRule:
+    @pytest.mark.parametrize("name", sorted(_rule_kernels()))
+    def test_the_kernel_accepts_exactly_its_spaces_states(self, name):
+        kernel = _rule_kernels()[name]
+        space = space_for_kernel(kernel)
+        assert kernel.labels == list(space.states[0])
+        for state in space.states:
+            assert kernel.check_state(state) == state
+            assert_row_stochastic(kernel.transitions(state))
+        for state in _NOT_STATES:
+            with pytest.raises(ValidationError, match="is not a"):
+                kernel.transitions(state)
+
+    @pytest.mark.parametrize("name,stand_in", _ACCEPTED_STAND_INS)
+    def test_equal_valued_states_keep_their_rows(self, name, stand_in):
+        kernel = _rule_kernels()[name]
+        for state in space_for_kernel(kernel).states[:6]:
+            assert kernel.transitions(_STAND_INS[stand_in](state)) == kernel.transitions(state)
+
+    @pytest.mark.parametrize("state", [(0, 1, 2), (1, 1, 2), (1, 2), (3, 1, 2, 4)])
+    def test_mnn_refuses_what_is_not_a_permutation(self, state):
+        # these once got rows (0 read p through index -1) or an IndexError
+        kernel = AdjacentTranspositionChain(build_general(3, [(1, 2, 0.6), (1, 3, 0.7),
+                                                              (2, 3, 0.8)]))
+        with pytest.raises(ValidationError, match=r"is not a permutation of 1\.\.3"):
+            kernel.transitions(state)
+
+    @pytest.mark.parametrize("name", ["mtk", "mi:2", "me"])
+    def test_a_list_entry_is_refused_not_a_type_error(self, name):
+        with pytest.raises(ValidationError):
+            _rule_kernels()[name].transitions(([1], 2, 3, 4))
+
+    def test_refusal_texts(self):
+        kernels_ = _rule_kernels()
+        with pytest.raises(ValidationError) as caught:
+            kernels_["mtk"].transitions((1, 2, 3))
+        assert str(caught.value) == "(1, 2, 3) is not a permutation of 1..4"
+        with pytest.raises(ValidationError) as caught:
+            kernels_["mpp"].transitions([1, 2, 2, 2])
+        assert str(caught.value) == ("(1, 2, 2, 2) is not a word over 1..3 with label "
+                                     "counts (1, 2, 1)")
+        with pytest.raises(ValidationError) as caught:
+            kernels_["me"].transitions((1, 1, 1, 0))
+        assert str(caught.value) == "(1, 1, 1, 0) is not a word with 2 ones and 2 zeros"
 
 
 class TestSampler:

@@ -398,6 +398,26 @@ def test_library_integers_go_through_parse_int(name):
         _BAD_INTEGERS[name]()
 
 
+def test_one_budget_default():
+    # cli reads analysis.DEFAULT_BUDGET; every library default is the same object
+    import inspect
+
+    assert analysis.DEFAULT_BUDGET is model.DEFAULT_BUDGET
+    for function in (exclusion.measure_boundedness, analysis.enumerate_states,
+                     analysis.space_for_kernel, analysis.fill_spot_check):
+        assert inspect.signature(function).parameters["budget"].default is model.DEFAULT_BUDGET
+
+
+def test_cross_class_probabilities_share_one_rule():
+    part = ClassPartition(2, (1,))
+    with pytest.raises(ValidationError) as caught:
+        KClassParams(partition=part, q={(1, 2): 0.5})
+    assert str(caught.value) == "cross-class probability q(1, 2)=0.5 must lie strictly in (1/2, 1)"
+    with pytest.raises(ValidationError) as caught:
+        treerep.parse_tree({"node": "R", "children": [1, 2], "q": {"(1,2)": "0.5"}})
+    assert str(caught.value) == "node 'R': q(1, 2)=0.5 must lie strictly in (1/2, 1)"
+
+
 @pytest.mark.parametrize("value,low,high,message", [
     (0, 1, None, "k must be >= 1, got 0"),
     (4, 1, 3, "k must be in 1..3, got 4"),

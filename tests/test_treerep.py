@@ -52,6 +52,21 @@ class TestParse:
                                 "q": {"(1,2)": "0.5"}})
 
 
+    @pytest.mark.parametrize("q", [0.7, 1, None, "abc"])
+    def test_q_is_a_decimal_string(self, q):
+        # a JSON number once built a league model; kclass and general
+        # models refuse it, and so do league trees now
+        with pytest.raises(ValidationError, match="q\\(1, 2\\)"):
+            treerep.parse_tree({"node": "R", "children": [1, 2], "q": {"(1,2)": q}})
+
+    def test_tree_strings_must_order_each_nodes_branch_labels(self, example_tree):
+        strings = treerep.permutation_to_tree_strings(tuple(range(1, 8)), example_tree)
+        for bad in (dict(strings, C=(1, 1)), dict(strings, C=(1, 2, 2)),
+                    dict(strings, C=(0, 1)), dict(strings, C=([1], 2))):
+            with pytest.raises(ValidationError, match="branch labels \\(1, 2\\) of node 'C'"):
+                treerep.tree_strings_to_permutation(bad, example_tree)
+
+
 class TestInducedProbabilities:
     def test_example_values(self, example_tree):
         ps = treerep.induced_probabilities(example_tree)
