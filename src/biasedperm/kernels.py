@@ -50,6 +50,8 @@ from .model import (ClassPartition, ProbabilitySet, _check_open_interval, _parse
 from .permcore import check_ordering, project, sorted_labels, transpose
 from . import treerep
 
+_ROW_CACHE_MAX = 1 << 13  # rows a sampler keeps; ~7.5 KiB each at 40 positions, ~60 MiB full
+
 
 # ---------------------------------------------------------------------------
 # shared move mechanics
@@ -295,6 +297,8 @@ class ChainKernel:
         raise NotImplementedError
 
     def _row(self, state):
+        """The sampler's (targets, cumulative masses) of ``state``, kept for
+        the first ``_ROW_CACHE_MAX`` states asked for and rebuilt past them."""
         cache = getattr(self, "_row_cache", None)
         if cache is None:
             cache = self._row_cache = {}
@@ -303,7 +307,9 @@ class ChainKernel:
             row = self.transitions(state)
             cum = list(accumulate(row.values()))
             cum[-1] = max(cum[-1], 1.0)
-            hit = cache[state] = (tuple(row), cum)
+            hit = (tuple(row), cum)
+            if len(cache) < _ROW_CACHE_MAX:
+                cache[state] = hit
         return hit
 
 

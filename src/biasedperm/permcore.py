@@ -27,12 +27,14 @@ def sorted_labels(sizes, first: int = 1) -> list:
 
 
 def check_ordering(state, labels: list, what: str) -> tuple:
-    """``state`` as a tuple, refused with "<state> is not <what>" unless it
-    sorts to ``labels``, a :func:`sorted_labels` list."""
+    """``state`` as a tuple of ints, refused with "<state> is not <what>"
+    unless it sorts to ``labels``, a :func:`sorted_labels` list.  An entry
+    equal to a label, such as 1.0 or True, reads as the int, so the rows
+    index their tables with ints."""
     state = tuple(state)
     try:
         if sorted(state) == labels:
-            return state
+            return tuple(map(int, state))
     except TypeError:  # entries that do not compare, such as a list beside an int
         pass
     raise ValidationError(f"{state} is not {what}")

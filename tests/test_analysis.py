@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from contextlib import closing
 from functools import lru_cache
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -552,6 +556,29 @@ class TestSpectralGap:
         with pytest.raises(PropertyViolationError, match="reversible"):
             spectral_gap(matrix, np.full(3, 1 / 3))
 
+    def test_graph_and_eigen_modules_load_on_first_use(self, tmp_path):
+        # csgraph loads scipy.sparse.linalg and scipy.linalg (+11 MiB RSS):
+        # a hitting run builds no matrix and must not import them
+        script = textwrap.dedent(f"""
+            import sys
+            import numpy as np
+            import biasedperm
+            from biasedperm import analysis, cli
+            lazy = ("scipy.sparse.csgraph", "scipy.sparse.linalg")
+            config = {{"chain": "me", "bias": "constant:0.75", "n1": 3, "n0": 3,
+                       "experiment": "hitting", "trials": 10, "seed": 0}}
+            assert cli.run_config(config, out_dir={str(tmp_path)!r}, quiet=True) == 0
+            assert not [m for m in lazy if m in sys.modules], "loaded by a hitting run"
+            assert analysis.spectral_gap(np.full((2, 2), 0.5)) == 1.0
+            assert all(m in sys.modules for m in lazy), "not loaded by spectral_gap"
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
 
 @lru_cache(maxsize=None)
 def _seeded_instance(case):
@@ -791,6 +818,11 @@ class TestMixing:
         with pytest.raises(ValidationError, match="tmax must be"):
             mixing_time_exact(matrix, pi, 0.25, tmax)
 
+    def test_tv_curve_needs_a_tmax(self):
+        # None once reached the scan and raised TypeError (None + 1)
+        with pytest.raises(ValidationError, match="tmax must be an integer, got None"):
+            tv_curve(np.eye(2), np.full(2, 0.5), None)
+
     def test_check_horizon_returns_the_integer_it_reads(self):
         assert analysis.check_horizon(None) is None
         assert analysis.check_horizon(0) == 0
@@ -904,6 +936,18 @@ class TestMixing:
         assert check_detailed_balance(matrix, pi).max_violation > analysis._BALANCE_TOL
         assert np.array_equal(tv_curve(matrix, pi, 200),
                               _former_tv_curve(matrix, pi, 200, dense_max=0))
+
+    @pytest.mark.parametrize("bias", [constant_bias(0.75), word_hash_bias],
+                             ids=["constant", "word-hash"])
+    def test_scan_reduces_no_one_wide_block(self, bias):
+        # 129 states: blocks of 128 and 1 would reduce the last start's
+        # column pairwise, not in state order (26 and 187 of 301 values
+        # differed); blocks of 127 and 2 keep the order
+        kernel = GeneralizedExclusionChain(bias, 1, 128)
+        matrix = build_matrix(kernel, space_for_kernel(kernel))
+        pi = stationary_exact(matrix)
+        assert np.array_equal(tv_curve(matrix, pi, 300),
+                              _former_tv_curve(matrix, pi, 300, dense_max=0))
 
     def test_pruned_scan_follows_the_worst_start_across_blocks(self):
         kernel = AdjacentTranspositionChain(random_monotone_set(6, np.random.default_rng(6)))

@@ -443,16 +443,15 @@ def _rule_kernels() -> dict:
 _NOT_STATES = [(1, 2, 3), (1, 2, 3, 4, 1), (1, 1, 2, 3), (0, 1, 2, 3), (-1, 1, 2, 3),
                (1, 2, 2, 2), (1, 1, 1, 0), ([1], 2, 3, 4), ("a", 1, 2, 2)]
 
-# equal-valued stand-ins for a label, each where it was accepted before the
-# state rule: the row is the row of the state it stands for
+# equal-valued stand-ins for a label that the state rule reads as the int:
+# the row is the row of the state it stands for
 _STAND_INS = {"list": list,
               "1.0": lambda s: tuple(1.0 if x == 1 else x for x in s),
               "True": lambda s: tuple(True if x == 1 else x for x in s),
               "-0.0": lambda s: tuple(-0.0 if x == 0 else x for x in s)}
 _ACCEPTED_STAND_INS = (
-    [(name, "list") for name in ("mnn", "mtk", "mi:2", "mk1", "mpp", "mtree", "me")]
-    + [(name, "1.0") for name in ("mtk", "mi:2", "mtree", "me")]
-    + [(name, "True") for name in ("mnn", "mtk", "mi:2", "mtree", "me")]
+    [(name, stand_in) for name in ("mnn", "mtk", "mi:2", "mk1", "mpp", "mtree", "me")
+     for stand_in in ("list", "1.0", "True")]
     + [("me", "-0.0")])
 
 
@@ -474,6 +473,14 @@ class TestStateRule:
         kernel = _rule_kernels()[name]
         for state in space_for_kernel(kernel).states[:6]:
             assert kernel.transitions(_STAND_INS[stand_in](state)) == kernel.transitions(state)
+
+    def test_stand_ins_read_as_ints(self):
+        # 1.0 once reached the rows of mnn, mk1 and mpp, and True those of
+        # mk1 and mpp, and crashed them (IndexError, TypeError)
+        state = permcore.check_ordering((2.0, True, -0.0), [0, 1, 2], "x")
+        assert state == (2, 1, 0) and all(type(x) is int for x in state)
+        with pytest.raises(ValidationError, match=r"^\(1\.5, 1\) is not x$"):
+            permcore.check_ordering((1.5, 1), [1, 2], "x")
 
     @pytest.mark.parametrize("state", [(0, 1, 2), (1, 1, 2), (1, 2), (3, 1, 2, 4)])
     def test_mnn_refuses_what_is_not_a_permutation(self, state):
@@ -543,6 +550,31 @@ class TestSampler:
             assert [targets[i] for i in picks] == expected
             assert len(set(expected)) > 1
             assert batched.random() == scalar.random()  # the streams stay in step
+
+    @pytest.mark.parametrize("cap", [0, 1, 40])
+    def test_row_cache_cap_keeps_the_trajectory(self, monkeypatch, cap):
+        # past the cap rows are rebuilt, not stored: the same draws
+        kernel = GeneralizedExclusionChain(word_hash_bias, 4, 4)
+        start = (1, 1, 1, 1, 0, 0, 0, 0)
+
+        def walk(steps=400):
+            rng, states = np.random.default_rng(7), [start]
+            for _ in range(steps):
+                states.append(sample_step(kernel, states[-1], rng))
+                assert len(kernel._row_cache) <= kernels._ROW_CACHE_MAX
+            return states
+
+        uncapped = walk()
+        assert len(set(uncapped)) > 40
+        kernel._row_cache.clear()
+        monkeypatch.setattr(kernels, "_ROW_CACHE_MAX", cap)
+        assert walk() == uncapped
+        assert len(kernel._row_cache) == cap
+
+    def test_row_cache_holds_the_sampled_spaces(self):
+        # the 5040 permutations of seven items and the 924 words of (6, 6)
+        # stay cached whole
+        assert kernels._ROW_CACHE_MAX >= 5040
 
     def test_empirical_frequencies_match_row(self):
         ps, part = seeded_kclass(4, 2, seed=3)
