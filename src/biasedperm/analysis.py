@@ -55,6 +55,7 @@ from .model import (DEFAULT_BUDGET, ClassPartition, ProbabilitySet, check_memory
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
 _RATIO_TOL = 1e-9  # relative imbalance of a stored pair the edge-ratio pi accepts
 _TV_BLOCK = 128  # starts per column block of the TV scan; 64..256 time alike
+_TV_CHUNK = 16  # TV steps per pool dispatch of a block; 8..32 time alike
 _TV_HORIZON = 1 << 20  # longest TV scan or coupling run, in steps
 
 
@@ -407,23 +408,32 @@ def _tv_iter(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray):
 
     Every start is evolved: the laws are held as C-contiguous n x b blocks
     whose column c is the law of the chain started at state s + c, and each
-    step applies P^T (CSR, sorted indices) to every block, spread over a
-    thread pool when there is more than one block and more than one usable
-    core.  The product sums each entry over the source states in ascending
-    order and the axis-0 reduction adds the states in index order, the
-    summation order of the whole-matrix propagation P^t @ csr(P); the tests
-    hold the curve bit-identical to it.
+    step applies P^T (CSR, sorted indices) to every block.  The product sums
+    each entry over the source states in ascending order and the axis-0
+    reduction adds the states in index order, the summation order of the
+    whole-matrix propagation P^t @ csr(P); the tests hold the curve
+    bit-identical to it.
+
+    The unit of dispatch is one block advanced through ``_TV_CHUNK``
+    consecutive steps, spread over a thread pool when there is more than
+    one block and more than one usable core.  The pool is waited on once
+    per chunk, not once per step, and a block stays in cache across its
+    chunk.  When every task of a chunk has returned, the generator yields
+    the chunk's per-step maxima in order, so a scan read to step t has
+    computed at most ``_TV_CHUNK - 1`` steps past t.
 
     Every buffer is allocated before the first step and reused: each block
     lives in a flat buffer of n * min(_TV_BLOCK, n) doubles, and each worker
     holds one (product, difference) pair of the same size.  A step writes
-    the product into the worker's spare buffer, reduces through its
-    difference buffer and swaps the product in as the block.  A scan whose
-    buffers exceed physical memory is refused with ``BudgetExceededError``
-    before any is allocated.  Close the generator to release the pool.
+    the product into the spare buffer, reduces through the difference
+    buffer and swaps the two, so a task ping-pongs between its block and
+    the product buffer.  A scan whose buffers exceed physical memory is
+    refused with ``BudgetExceededError`` before any is allocated.  Close
+    the generator to release the pool.
 
-    Only the step's max is yielded, so a block is reduced only if it can
-    hold it.  For any law mu, mu P - pi = (mu - pi) P + (pi P - pi), so
+    Only each step's max is yielded, so a block is reduced at a step only
+    if it can hold that step's max.  For any law mu,
+    mu P - pi = (mu - pi) P + (pi P - pi), so
     |mu P - pi|_1 <= rho |mu - pi|_1 + |pi P - pi|_1 with rho the largest row
     sum of |P|: a start's distance rises by at most the residual of pi.  Each
     block keeps a bound on its largest column sum, the value it was last
@@ -432,10 +442,11 @@ def _tv_iter(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray):
     product; rho and slack are multiplied by 1 + 8 n eps for the rounding
     of the reductions and of computing them, so the bound holds for the
     float a reduction would give.  Both are computed once, before step 1.
-    Blocks are dispatched in descending order of bound, and a block whose
-    advanced bound is at most the largest value already reduced in the step
-    skips its reduction: it cannot exceed that value.  So the step's max is
-    the same float, and every block's laws are still propagated every step.
+    Each chunk dispatches the blocks in descending order of bound, and
+    keeps, per step, the largest value any block has reduced at that step.
+    A block whose advanced bound at a step is at most that value skips its
+    reduction there: it cannot exceed it.  So every step's max is the same
+    float, and every block's laws are still propagated every step.
     At total 12 (924 states, eight blocks) 85% of the block reductions of
     the 768-step scan are skipped.
     """
@@ -474,43 +485,50 @@ def _tv_iter(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray):
     spare = SimpleQueue()
     for _ in range(workers):
         spare.put((np.empty(size), np.empty(size)))
-    # the largest value reduced so far in the current step; a lost update
-    # between workers leaves another reduced value here, which only prunes less
-    best = [0.0]
+    # per step of the chunk, the largest value reduced so far at that step; a
+    # lost update between workers leaves another reduced value, which only
+    # prunes less
+    best = [0.0] * _TV_CHUNK
 
     def advance(k):
         width = widths[k]
         used = n * width
         block = blocks[k]
         product, diff = spare.get()
-        product[:used] = 0.0
-        # the routine forward @ block runs, accumulating into product
-        csr_matvecs(n, n, width, forward.indptr, forward.indices, forward.data,
-                    block[:used], product[:used])
-        ceiling = rho * bounds[k] + slack
-        if best[0] >= ceiling:
-            value = 0.0  # below a value already reduced: cannot be the max
-            bounds[k] = ceiling
-        else:
-            value = _column_tv(product[:used].reshape(n, width), column,
-                               diff[:used].reshape(n, width))
-            bounds[k] = value
-            best[0] = max(best[0], value)
-        blocks[k] = product
-        # queued only once the reduction is read: the next worker to take
-        # the pair overwrites both buffers
-        spare.put((block, diff))
-        return value
+        values = []
+        for step in range(_TV_CHUNK):
+            product[:used] = 0.0
+            # the routine forward @ block runs, accumulating into product
+            csr_matvecs(n, n, width, forward.indptr, forward.indices, forward.data,
+                        block[:used], product[:used])
+            ceiling = rho * bounds[k] + slack
+            if best[step] >= ceiling:
+                value = 0.0  # below a value already reduced: cannot be the max
+                bounds[k] = ceiling
+            else:
+                value = _column_tv(product[:used].reshape(n, width), column,
+                                   diff[:used].reshape(n, width))
+                bounds[k] = value
+                best[step] = max(best[step], value)
+            values.append(value)
+            block, product = product, block
+        blocks[k] = block
+        # queued only once the chunk is done: the next worker to take the
+        # pair overwrites both buffers
+        spare.put((product, diff))
+        return values
 
     pool = ThreadPoolExecutor(workers) if workers > 1 else None
     try:
         t = 0
         while True:
-            t += 1
-            best[0] = 0.0
+            best[:] = [0.0] * _TV_CHUNK
             order = sorted(range(len(blocks)), key=bounds.__getitem__, reverse=True)
-            values = pool.map(advance, order) if pool else map(advance, order)
-            yield t, 0.5 * max(values)
+            chunk = pool.map(advance, order) if pool else map(advance, order)
+            # unpacking waits for every task before the chunk's first yield
+            for value in map(max, zip(*chunk)):
+                t += 1
+                yield t, 0.5 * value
     finally:
         if pool is not None:
             pool.shutdown()

@@ -139,9 +139,13 @@ def measure_boundedness(bias, n1: int, n0: int, *, budget: int = DEFAULT_BUDGET,
     ``sample_steps`` is given, the minimum is taken over the words visited
     by a seeded walk of :class:`GeneralizedExclusionChain` from the bottom
     word and flagged as a lower-confidence estimate; without the fallback
-    the budget overrun is an error.
+    the budget overrun is an error.  The walk keeps each distinct word once,
+    in the order it was first visited.
     """
     n1, n0 = _exclusion_sizes(bias, n1, n0)
+    if sample_steps is not None:
+        sample_steps = parse_int(sample_steps, "sample_steps", low=0)
+    seed = parse_int(seed, "seed", low=0)
     count = math.comb(n1 + n0, n1)
     if count <= budget:
         return _boundedness_over(all_words(n1, n0), bias, exact=True)
@@ -153,11 +157,11 @@ def measure_boundedness(bias, n1: int, n0: int, *, budget: int = DEFAULT_BUDGET,
     kernel = GeneralizedExclusionChain(bias, n1, n0)
     rng = np.random.default_rng(seed)
     word = bottom_word(n1, n0)
-    walk = [word]
+    visited = {word: None}
     for _ in range(sample_steps):
         word = sample_step(kernel, word, rng)
-        walk.append(word)
-    return _boundedness_over(dict.fromkeys(walk), bias, exact=False)
+        visited[word] = None
+    return _boundedness_over(visited, bias, exact=False)
 
 
 def _boundedness_over(words, bias, exact: bool) -> BiasReport:
@@ -205,6 +209,7 @@ def hitting_time_to_top(bias, n1: int, n0: int, trials: int, seed: int) -> Hitti
     """
     n1, n0 = _exclusion_sizes(bias, n1, n0)
     trials = parse_int(trials, "trials", low=1)
+    seed = parse_int(seed, "seed", low=0)
     known = getattr(bias, "known_min_ratio", None)
     if known is not None and known <= 1.0:
         warnings.warn(

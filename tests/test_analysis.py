@@ -692,6 +692,14 @@ def _former_exclusion_curve(total, tmax):
     return _former_tv_curve(*_exclusion_matrix(total), tmax)
 
 
+@lru_cache(maxsize=None)
+def _mnn_720():
+    """The 720-state M_nn chain whose worst start moves across blocks."""
+    kernel = AdjacentTranspositionChain(random_monotone_set(6, np.random.default_rng(6)))
+    matrix = build_matrix(kernel, space_for_kernel(kernel))  # six blocks
+    return matrix, stationary_exact(matrix)
+
+
 def _former_mixing_time(matrix, pi, eps, tmax=None):
     """mixing_time_exact as it was before its scan became one loop: the
     crossing, horizon and hard-cap checks, then the monotone check and the
@@ -950,9 +958,7 @@ class TestMixing:
                               _former_tv_curve(matrix, pi, 300, dense_max=0))
 
     def test_pruned_scan_follows_the_worst_start_across_blocks(self):
-        kernel = AdjacentTranspositionChain(random_monotone_set(6, np.random.default_rng(6)))
-        matrix = build_matrix(kernel, space_for_kernel(kernel))  # 720 states: six blocks
-        pi = stationary_exact(matrix)
+        matrix, pi = _mnn_720()
         distances = list(_former_distances(matrix, pi, 200, dense_max=0))
         worst_blocks = [int(rows.argmax()) // analysis._TV_BLOCK for rows in distances[1:]]
         assert len(set(worst_blocks)) == 3
@@ -989,6 +995,48 @@ class TestMixing:
         assert curve[1] == pytest.approx(0.5 * (2 - 2 * pi[0]))
         assert np.array_equal(curve, _former_tv_curve(matrix, pi, 3, dense_max=0))
 
+    @pytest.mark.parametrize("tmax", [1, 15, 16, 17, 53])
+    @pytest.mark.parametrize("cores", [2, 1])
+    def test_chunk_boundaries_keep_the_curve(self, tmax, cores, monkeypatch):
+        # a scan read to tmax ends inside a chunk, at its last step, or one
+        # step into the next; each read must give the unchunked curve
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: cores)
+        matrix, pi = _exclusion_matrix(12)
+        assert np.array_equal(tv_curve(matrix, pi, tmax),
+                              _former_tv_curve(matrix, pi, tmax, dense_max=0))
+        matrix, pi = _mnn_720()
+        assert np.array_equal(tv_curve(matrix, pi, tmax),
+                              _former_tv_curve(matrix, pi, tmax, dense_max=0))
+
+    @pytest.mark.parametrize("t", [0, 1, 15, 16, 17, 40])
+    def test_scan_computes_at_most_one_chunk_ahead(self, t, monkeypatch):
+        matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks
+        products = []
+        matvecs = analysis.csr_matvecs
+
+        def counted(*args):
+            products.append(1)
+            return matvecs(*args)
+
+        monkeypatch.setattr(analysis, "csr_matvecs", counted)
+        with closing(analysis._tv_iter(matrix, pi)) as it:
+            read = [next(it)[0] for _ in range(t + 1)]
+        assert read == list(range(t + 1))
+        steps, rest = divmod(len(products), 2)  # one product per block and step
+        assert rest == 0
+        assert t <= steps <= t + analysis._TV_CHUNK - 1
+
+    def test_closing_mid_chunk_leaves_no_thread_behind(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_usable_cores", lambda: 2)
+        matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks, two workers
+        before = threading.active_count()
+        it = analysis._tv_iter(matrix, pi)
+        for _ in range(analysis._TV_CHUNK // 2):
+            next(it)
+        assert threading.active_count() > before
+        it.close()
+        assert threading.active_count() == before
+
     def test_scan_leaves_no_thread_behind(self):
         matrix, pi = _exclusion_matrix(10)  # 252 states: two blocks
         before = threading.active_count()
@@ -1022,7 +1070,8 @@ class TestMixing:
                     next(it)
                 tracemalloc.reset_peak()
                 before, _ = tracemalloc.get_traced_memory()
-                for _ in range(10):
+                # three whole chunks are computed while these are read
+                for _ in range(3 * analysis._TV_CHUNK):
                     next(it)
                 _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -6,8 +6,8 @@ import pytest
 
 from biasedperm import exclusion
 from biasedperm.errors import BudgetExceededError, ValidationError
-from biasedperm.kernels import (GeneralizedExclusionChain, constant_bias, square_table_bias,
-                                word_hash_bias)
+from biasedperm.kernels import (GeneralizedExclusionChain, constant_bias, sample_step,
+                                square_table_bias, word_hash_bias)
 from biasedperm.exclusion import (
     StaircaseWalk,
     all_words,
@@ -102,6 +102,26 @@ class TestBoundedness:
                                      sample_steps=500, seed=1)
         assert not report.exact
         assert report.min_bias == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("bias,n1,n0", [
+        (constant_bias(0.75), 6, 6),
+        (word_hash_bias, 6, 6),
+        (square_table_bias({"h": 4, "w": 5, "bias": {f"({x},{y})": str(1.1 + 0.1 * x + 0.03 * y)
+                                                     for x in range(1, 6) for y in range(1, 5)}}),
+         4, 5),
+    ], ids=["constant", "word-hash", "square-table"])
+    def test_sampled_walk_is_the_former_list_of_visits(self, bias, n1, n0):
+        # the walk as it was kept before: every visit listed, then the
+        # distinct words taken in first-visit order by dict.fromkeys
+        rng = np.random.default_rng(11)
+        kernel = GeneralizedExclusionChain(bias, n1, n0)
+        walk = [bottom_word(n1, n0)]
+        for _ in range(3000):
+            walk.append(sample_step(kernel, walk[-1], rng))
+        former = exclusion._boundedness_over(dict.fromkeys(walk), bias, exact=False)
+        report = measure_boundedness(bias, n1, n0, budget=10, sample_steps=3000, seed=11)
+        assert report == former
+        assert len(set(walk)) < len(walk)
 
 
 class TestHitting:

@@ -386,6 +386,22 @@ _BAD_INTEGERS = {
         kernels.constant_bias(0.75), 2.5, 2),
     "boundedness-small-table": lambda: exclusion.measure_boundedness(
         kernels.square_table_bias(_TABLE_2X2), 3, 3),
+    "boundedness-steps-fraction": lambda: exclusion.measure_boundedness(
+        kernels.constant_bias(0.75), 8, 8, budget=100, sample_steps=2.5),
+    "boundedness-steps-negative": lambda: exclusion.measure_boundedness(
+        kernels.constant_bias(0.75), 8, 8, budget=100, sample_steps=-5),
+    "boundedness-steps-bool": lambda: exclusion.measure_boundedness(
+        kernels.constant_bias(0.75), 8, 8, budget=100, sample_steps=True),
+    "boundedness-seed-negative": lambda: exclusion.measure_boundedness(
+        kernels.constant_bias(0.75), 8, 8, budget=100, sample_steps=5, seed=-1),
+    "boundedness-seed-fraction": lambda: exclusion.measure_boundedness(
+        kernels.constant_bias(0.75), 8, 8, budget=100, sample_steps=5, seed=1.5),
+    "hitting-seed-fraction": lambda: exclusion.hitting_time_to_top(
+        kernels.constant_bias(0.75), 2, 2, 3, 1.5),
+    "hitting-seed-bool": lambda: exclusion.hitting_time_to_top(
+        kernels.constant_bias(0.75), 2, 2, 3, True),
+    "hitting-seed-negative": lambda: exclusion.hitting_time_to_top(
+        kernels.constant_bias(0.75), 2, 2, 3, -1),
     "partition-n-fraction": lambda: ClassPartition(2.5, ()),
     "general-n-fraction": lambda: build_general(2.5, []),
     "fill-check-count-fraction": lambda: analysis.fill_spot_check(3, 2.5, 0),
