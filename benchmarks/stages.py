@@ -11,8 +11,11 @@ function of STAGES as the CLI calls it (a stage inside another counts in
 both) and records ``<stage>.s``, ``stationary_rest.s`` (``stationary_exact``
 less the LU), ``states``, ``row_us`` (``build_csr`` microseconds per
 state), ``steps`` and ``steps_per_s`` (hitting), the calls of
-``kernels.word_hash_bias``, ``peak_rss_mb``, the exit code and the sha256
-of ``results.csv`` and ``detail.csv``.  Outputs must agree across rounds
+``kernels.word_hash_bias`` (counted in shared memory, so the calls made
+in the hitting pool's forked workers count too), ``peak_rss_mb``,
+``workers_peak_rss_mb`` (the largest peak among the child's own child
+processes, the pool's workers), the exit code and the sha256 of
+``results.csv`` and ``detail.csv``.  Outputs must agree across rounds
 and trees (for BY_GAP, the gap within GAP_TOL); a nonzero exit or a
 disagreement goes under "mismatches" and the script exits 1.  Per case,
 tree and stage (leaving out those that read 0 in every run) the JSON holds
@@ -136,6 +139,8 @@ def _timed(owner, attr, record, key, note=None):
 def _child(name: str, src: str):
     """Run one case in this interpreter and print its record."""
     sys.path.insert(0, src)
+    from multiprocessing.sharedctypes import Value
+
     import numpy as np
 
     from biasedperm import analysis, cli, exclusion, kernels
@@ -151,10 +156,11 @@ def _child(name: str, src: str):
         owner, attr = stage.rsplit(".", 1)
         _timed(owners[owner], attr, rec, f"{stage}.s", notes.get(stage))
     bias = kernels.word_hash_bias
-    rec["kernels.word_hash_bias.calls"] = 0
+    calls = Value("q", 0)  # forked workers inherit it
 
     def counted(*args):
-        rec["kernels.word_hash_bias.calls"] += 1
+        with calls.get_lock():
+            calls.value += 1
         return bias(*args)
 
     kernels.word_hash_bias = counted
@@ -170,7 +176,9 @@ def _child(name: str, src: str):
     build, hit = rec["analysis.build_csr.s"], rec["exclusion.hitting_time_to_top.s"]
     rec["row_us"] = 1e6 * build / rec["states"] if build else 0.0
     rec["steps_per_s"] = rec["steps"] / hit if hit else 0.0
+    rec["kernels.word_hash_bias.calls"] = calls.value
     rec["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    rec["workers_peak_rss_mb"] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
     print(json.dumps(rec))
 
 

@@ -31,7 +31,6 @@ the loads per edge over those arrays with ``np.bincount``.
 from __future__ import annotations
 
 import math
-import os
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -48,9 +47,9 @@ from .errors import BudgetExceededError, PropertyViolationError, ValidationError
 from .exclusion import area, bottom_word, top_word
 from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
                       GeneralizedExclusionChain)
-from .model import (DEFAULT_BUDGET, ClassPartition, ProbabilitySet, check_memory,
-                    check_weak_monotonicity, parse_int, random_monotone_set, uniform_set,
-                    validate_kclass)
+from .model import (DEFAULT_BUDGET, ClassPartition, ProbabilitySet, _usable_cores,
+                    check_memory, check_weak_monotonicity, parse_int, random_monotone_set,
+                    uniform_set, validate_kclass)
 
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
 _RATIO_TOL = 1e-9  # relative imbalance of a stored pair the edge-ratio pi accepts
@@ -387,12 +386,6 @@ def spectral_gap(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray | None = None,
         bottom = spla.eigsh(sym, k=1, which="SA", return_eigenvectors=False)
         second = max(abs(float(np.sort(top)[0])), abs(float(bottom[0])))
     return 1.0 - float(second)
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _column_tv(law: np.ndarray, column: np.ndarray, diff: np.ndarray) -> float:

@@ -15,19 +15,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
 from .kernels import GeneralizedExclusionChain, _exclusion_sizes, sample_step, square_of
-from .model import DEFAULT_BUDGET, parse_int
+from .model import DEFAULT_BUDGET, _usable_cores, parse_int
 from .permcore import transpose
 
 RIGHT = "R"
 DOWN = "D"
 _HIT_BLOCK = 4096  # positions and coins drawn per block of a hitting trial
-_HIT_MEMO_MAX = 1 << 18  # bias values memoized per hitting run; ~100 B each, ~25 MiB full
+_HIT_MEMO_MAX = 1 << 18  # bias values memoized per process of a run; ~100 B each, ~25 MiB full
+_HIT_SPANS_PER_WORKER = 8  # contiguous trial spans per pool worker of a hitting run
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,23 @@ def hitting_time_to_top(bias, n1: int, n0: int, trials: int, seed: int) -> Hitti
     is then not pushed toward the top and the experiment may be slow), but
     runs regardless.
 
-    A bias callback is evaluated at most once per (word, site) pair in one
-    call: the trials share a memo of its values (up to ``_HIT_MEMO_MAX``
-    entries), so the bias must be a function of (word, i) alone.
+    The trials are cut into contiguous spans, ``_HIT_SPANS_PER_WORKER`` per
+    worker so that a span of long trials does not hold up the rest, and
+    the spans run on a pool of one forked process per usable core; the
+    steps are joined in trial order, and since trial t draws from
+    ``trial_seed(seed, t)`` they are the same numbers the serial loop
+    gives.  The spans run in this process instead when there is one usable
+    core or one trial, when the platform cannot fork, or when the caller is
+    a daemonic process, which may not have children.  The workers are
+    forked, so the bias reaches them unpickled and closures work; a bias
+    that raises in a worker raises the same exception here.  On Python 3.12
+    and later, forking a process that runs threads warns.
+
+    A bias callback is evaluated at most once per (word, site) pair in each
+    process that runs trials: the trials of one process share a memo of its
+    values (up to ``_HIT_MEMO_MAX`` entries), so the bias must be a function
+    of (word, i) alone.  On the pool the callback runs in the workers, and
+    its side effects, such as counting calls, stay there.
     """
     n1, n0 = _exclusion_sizes(bias, n1, n0)
     trials = parse_int(trials, "trials", low=1)
@@ -216,13 +232,59 @@ def hitting_time_to_top(bias, n1: int, n0: int, trials: int, seed: int) -> Hitti
             f"minimum bias ratio {known} <= 1; hitting times may be exponential",
             stacklevel=2,
         )
-    memo: dict[int, float] = {}
-    results = [_one_hit(bias, n1, n0, trial_seed(seed, t), memo) for t in range(trials)]
-    return HittingSummary(n1=n1, n0=n0, trials=tuple(results), seed=seed)
+    workers = min(_usable_cores(), trials)
+    count = min(trials, workers * _HIT_SPANS_PER_WORKER)
+    spans = [(trials * k // count, trials * (k + 1) // count) for k in range(count)]
+    job = (bias, n1, n0, seed)
+    pool = _hit_pool(workers, job)
+    try:
+        if pool is None:
+            steps = map(partial(_hit_span, (*job, {})), spans)
+        else:
+            steps = pool.map(_worker_span, spans)
+        results = tuple(s for span in steps for s in span)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return HittingSummary(n1=n1, n0=n0, trials=results, seed=seed)
+
+
+def _hit_pool(workers: int, job: tuple):
+    """A pool of ``workers`` forked processes, each started on ``job``, or
+    None when the trials run in this process."""
+    if workers == 1:
+        return None
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_start_worker, initargs=job)
+
+
+_worker_job = None  # in a pool worker: (bias, n1, n0, seed, memo), set once at its start
+
+
+def _start_worker(bias, n1: int, n0: int, seed: int):
+    global _worker_job
+    _worker_job = (bias, n1, n0, seed, {})
+
+
+def _worker_span(span: tuple[int, int]) -> list[int]:
+    return _hit_span(_worker_job, span)
+
+
+def _hit_span(job: tuple, span: tuple[int, int]) -> list[int]:
+    """Steps of trials span[0] .. span[1] - 1, all sharing job's memo."""
+    bias, n1, n0, seed, memo = job
+    return [_one_hit(bias, n1, n0, trial_seed(seed, t), memo) for t in range(*span)]
 
 
 def _one_hit(bias, n1: int, n0: int, seed: int, memo: dict) -> int:
-    """Steps of one trial; callback values are read from and added to memo.
+    """Steps of one trial; callback values are read from and added to memo,
+    the memo of the process that runs the trial.
 
     The word is kept twice: as a list, and as an integer code with bit
     n - 1 - j holding word[j].  A swap at site i exchanges two differing

@@ -529,9 +529,13 @@ def sample_step(kernel: ChainKernel, state, rng):
     """Draw one step from the kernel's enumerated distribution.
 
     The generator is advanced in place; the same seed always yields the
-    same trajectory.
+    same trajectory.  A state whose row is cached is read straight from the
+    kernel's row cache; any other goes through ``_row``.
     """
-    targets, cum = kernel._row(state)
+    try:
+        targets, cum = kernel._row_cache[state]
+    except (AttributeError, KeyError):
+        targets, cum = kernel._row(state)
     u = rng.random()
     return targets[bisect_right(cum, u)]
 

@@ -14,7 +14,9 @@ Four input rules of the whole package are written here once:
 reads every decimal-string probability, :func:`_check_cross_class` bounds
 every cross-class probability, and :func:`check_memory` raises every
 refusal of work larger than physical memory, the one reader of
-:func:`_physical_memory`.
+:func:`_physical_memory`.  :func:`_usable_cores` is the one core count, the
+worker count of the TV scan's thread pool and of the hitting trials' process
+pool.
 
 Indices are 1-based everywhere in the public API and in serialized form.
 All off-diagonal probabilities live strictly inside (0, 1): endpoint values
@@ -212,6 +214,13 @@ def _physical_memory() -> float:
     if hasattr(os, "sysconf"):
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     return math.inf
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on, the worker count of every pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def check_memory(need: float, what: str, half: bool = False):

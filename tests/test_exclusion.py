@@ -1,10 +1,16 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from biasedperm import exclusion
+from biasedperm import cli, exclusion
 from biasedperm.errors import BudgetExceededError, ValidationError
 from biasedperm.kernels import (GeneralizedExclusionChain, constant_bias, sample_step,
                                 square_table_bias, word_hash_bias)
@@ -210,6 +216,28 @@ def _counting(bias, seen):
     return counted
 
 
+def _logging(bias, path):
+    """bias, appending "pid word i" to path at each call: a record that the
+    pool's workers write as well as this process."""
+    def logged(word, i):
+        with open(path, "a") as fh:
+            fh.write(f"{os.getpid()} {''.join(map(str, word))} {i}\n")
+        return bias(word, i)
+
+    return logged
+
+
+def _read_log(path):
+    """The (pid, (word, i)) calls _logging recorded, in the order written."""
+    rows = [line.split() for line in path.read_text().splitlines()] if path.exists() else []
+    return [(int(pid), (tuple(map(int, word)), int(i))) for pid, word, i in rows]
+
+
+def _cores(monkeypatch, count):
+    """Pretend this process may run on ``count`` cores: 1 is the serial route."""
+    monkeypatch.setattr(exclusion, "_usable_cores", lambda: count)
+
+
 MEMO_CASES = [("constant", 1, 1), ("constant", 4, 4), ("constant", 8, 8),
               ("word-hash", 2, 2), ("word-hash", 3, 4), ("word-hash", 5, 5),
               ("square", 2, 3), ("square", 4, 4)]
@@ -233,7 +261,8 @@ class TestHittingMemo:
 
     @pytest.mark.parametrize("kind,n1,n0", [("word-hash", 3, 4), ("word-hash", 5, 5),
                                             ("square", 4, 4)])
-    def test_callback_runs_once_per_visited_pair(self, kind, n1, n0):
+    def test_callback_runs_once_per_visited_pair(self, monkeypatch, kind, n1, n0):
+        _cores(monkeypatch, 1)  # the calls list is only appended to in this process
         bias = _bias(kind, n1, n0)
         visited, calls = [], []
         expected = _reference_trials(_counting(bias, visited), n1, n0, 20, 7)
@@ -244,6 +273,7 @@ class TestHittingMemo:
 
     @pytest.mark.parametrize("cap", [0, 1, 7])
     def test_a_full_memo_keeps_the_trials(self, monkeypatch, cap):
+        _cores(monkeypatch, 1)  # the spy and the calls list see this process only
         monkeypatch.setattr(exclusion, "_HIT_MEMO_MAX", cap)
         sizes = []
         one_hit = exclusion._one_hit
@@ -261,7 +291,162 @@ class TestHittingMemo:
         assert max(sizes) == cap
         assert len(calls) > len(set(calls))  # beyond the cap, pairs are re-evaluated
 
+    @pytest.mark.parametrize("kind,n1,n0", [("word-hash", 3, 4), ("word-hash", 5, 5),
+                                            ("square", 4, 4)])
+    def test_pooled_callback_runs_once_per_visited_pair_per_worker(self, monkeypatch,
+                                                                   tmp_path, kind, n1, n0):
+        _cores(monkeypatch, 2)
+        bias = _bias(kind, n1, n0)
+        visited = []
+        expected = _reference_trials(_counting(bias, visited), n1, n0, 20, 7)
+        log = tmp_path / "calls"
+        summary = hitting_time_to_top(_logging(bias, log), n1, n0, trials=20, seed=7)
+        assert summary.trials == expected
+        calls = _read_log(log)
+        assert os.getpid() not in {pid for pid, _ in calls}  # run in the workers
+        assert len(calls) == len(set(calls))  # each (worker, pair) at most once
+        assert {pair for _, pair in calls} == set(visited)
+
+    @pytest.mark.parametrize("cap", [0, 1, 7])
+    def test_a_full_memo_keeps_the_pooled_trials(self, monkeypatch, tmp_path, cap):
+        _cores(monkeypatch, 2)
+        monkeypatch.setattr(exclusion, "_HIT_MEMO_MAX", cap)
+        sizes = tmp_path / "sizes"
+        one_hit = exclusion._one_hit
+
+        def spy(bias, n1, n0, seed, memo):
+            steps = one_hit(bias, n1, n0, seed, memo)
+            with open(sizes, "a") as fh:
+                fh.write(f"{os.getpid()} {len(memo)}\n")
+            return steps
+
+        monkeypatch.setattr(exclusion, "_one_hit", spy)  # forked workers inherit it
+        log = tmp_path / "calls"
+        summary = hitting_time_to_top(_logging(word_hash_bias, log), 3, 3,
+                                      trials=10, seed=4)
+        assert summary.trials == _reference_trials(word_hash_bias, 3, 3, 10, 4)
+        records = [tuple(map(int, line.split())) for line in sizes.read_text().splitlines()]
+        assert len(records) == 10 and os.getpid() not in {pid for pid, _ in records}
+        assert max(size for _, size in records) == cap
+        calls = _read_log(log)
+        assert len(calls) > len(set(calls))  # beyond the cap, a worker re-evaluates pairs
+
     @pytest.mark.parametrize("n1,n0,trials", [(-1, 5, 3), (5, -2, 3), (2, 2, 0), (2, 2, -3)])
     def test_bad_sizes_and_trial_counts_are_refused(self, n1, n0, trials):
         with pytest.raises(ValidationError):
             hitting_time_to_top(word_hash_bias, n1, n0, trials=trials, seed=0)
+
+
+def _spans(cores):
+    return cores * exclusion._HIT_SPANS_PER_WORKER
+
+
+class TestHittingPool:
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    @pytest.mark.parametrize("kind,n1,n0", MEMO_CASES)
+    def test_pooled_trials_equal_the_serial_ones(self, monkeypatch, kind, n1, n0, seed):
+        bias = _bias(kind, n1, n0)
+        summaries = []
+        for cores in (1, 2, 3):  # 3: more workers than a 2-core host has, uneven spans
+            _cores(monkeypatch, cores)
+            summaries.append(hitting_time_to_top(bias, n1, n0, trials=12, seed=seed))
+        assert summaries[0] == summaries[1] == summaries[2]
+        assert summaries[0].trials == _reference_trials(bias, n1, n0, 12, seed)
+
+    @pytest.mark.parametrize("trials", [1, _spans(2) - 1, _spans(2) + 1])
+    def test_trial_counts_around_the_span_count(self, monkeypatch, tmp_path, trials):
+        _cores(monkeypatch, 2)
+        log = tmp_path / "calls"
+        summary = hitting_time_to_top(_logging(word_hash_bias, log), 2, 3,
+                                      trials=trials, seed=21)
+        assert summary.trials == _reference_trials(word_hash_bias, 2, 3, trials, 21)
+        pids = {pid for pid, _ in _read_log(log)}
+        if trials == 1:
+            assert pids == {os.getpid()}  # one trial runs here
+        else:
+            assert pids and os.getpid() not in pids
+
+    def test_no_fork_runs_here(self, monkeypatch, tmp_path):
+        _cores(monkeypatch, 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        log = tmp_path / "calls"
+        summary = hitting_time_to_top(_logging(word_hash_bias, log), 2, 3, trials=9, seed=2)
+        assert summary.trials == _reference_trials(word_hash_bias, 2, 3, 9, 2)
+        assert {pid for pid, _ in _read_log(log)} == {os.getpid()}
+
+    def test_a_daemonic_caller_runs_here(self, monkeypatch, tmp_path):
+        # a daemonic process may not have children: its trials run in it
+        _cores(monkeypatch, 2)
+        log = tmp_path / "calls"
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+
+        def run():
+            summary = hitting_time_to_top(_logging(word_hash_bias, log), 2, 3,
+                                          trials=9, seed=2)
+            send.send((os.getpid(), summary.trials))
+
+        caller = context.Process(target=run, daemon=True)
+        caller.start()
+        caller.join(60)
+        assert caller.exitcode == 0
+        pid, trials = receive.recv()
+        assert trials == _reference_trials(word_hash_bias, 2, 3, 9, 2)
+        assert {p for p, _ in _read_log(log)} == {pid}
+
+    @pytest.mark.parametrize("bias", ["constant:0.75", "word-hash"])
+    def test_cli_csvs_are_the_same_on_both_routes(self, monkeypatch, tmp_path, bias):
+        config = {"chain": "me", "experiment": "hitting", "bias": bias,
+                  "n1": 3, "n0": 4, "trials": 40}
+        outputs = []
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            out = tmp_path / f"cores-{cores}"
+            assert cli.run_config(config, out_dir=out, seed=5, quiet=True) == 0
+            outputs.append({name: (out / name).read_bytes()
+                            for name in ("results.csv", "detail.csv")})
+        assert outputs[0] == outputs[1]
+
+    def test_a_bias_raising_in_a_worker_raises_here(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        parent = os.getpid()
+
+        def undefined(word, i):
+            if os.getpid() != parent:
+                raise LookupError(f"no bias at site {i} of {word}")
+            return 0.75
+
+        with pytest.raises(LookupError) as caught:
+            hitting_time_to_top(undefined, 2, 2, trials=8, seed=0)
+        # every trial's first swap is at site 2 of the bottom word
+        assert str(caught.value) == "no bias at site 2 of (1, 1, 0, 0)"
+        assert "Traceback" in str(caught.value.__cause__)  # the worker's traceback
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_call(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        hitting_time_to_top(word_hash_bias, 2, 2, trials=30, seed=0)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_modules_load_on_first_use(self, tmp_path):
+        # a run with no hitting experiment starts no pool and must not import it
+        script = textwrap.dedent(f"""
+            import sys
+            import biasedperm
+            from biasedperm import cli, exclusion, kernels
+            lazy = ("multiprocessing", "concurrent.futures.process")
+            config = {{"model": {{"type": "kclass", "n": 4, "boundaries": [2],
+                                  "q": {{"(1,2)": "0.8"}}}},
+                       "chain": "mnn", "experiment": "gap"}}
+            assert cli.run_config(config, out_dir={str(tmp_path)!r}, quiet=True) == 0
+            assert not [m for m in lazy if m in sys.modules], "loaded by a gap run"
+            exclusion._usable_cores = lambda: 2
+            exclusion.hitting_time_to_top(kernels.word_hash_bias, 2, 2, trials=4, seed=0)
+            assert all(m in sys.modules for m in lazy), "not loaded by a pooled run"
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

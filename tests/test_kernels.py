@@ -1,3 +1,4 @@
+import bisect
 import math
 from itertools import permutations
 
@@ -509,6 +510,22 @@ class TestStateRule:
         assert str(caught.value) == "(1, 1, 1, 0) is not a word with 2 ones and 2 zeros"
 
 
+def _criterion_10_chains():
+    """Criterion 10's seven chains, newly built, with their start states."""
+    prob_set, partition = seeded_kclass(4, 2, seed=[515, 0])
+    word = permcore.project((2, 1, 4, 3), partition)
+    big_class = 1 + partition.sizes.index(max(partition.sizes))
+    return [
+        (AdjacentTranspositionChain(prob_set), (2, 1, 4, 3)),
+        (ClassTranspositionChain(prob_set, partition), (2, 1, 4, 3)),
+        (SameClassChain(prob_set, partition, big_class), (2, 1, 4, 3)),
+        (CrossClassChain(prob_set, partition), word),
+        (ParticleProcessChain(prob_set, partition), word),
+        (TreeSwapChain(treerep.parse_tree(EXAMPLE_TREE)), (6, 1, 4, 3, 2, 7, 5)),
+        (GeneralizedExclusionChain(word_hash_bias, 2, 3), (1, 0, 1, 0, 0)),
+    ]
+
+
 class TestSampler:
     def test_trajectory_reproducible(self):
         kernel = AdjacentTranspositionChain(constant_bias_set(2, 0.6))
@@ -530,20 +547,7 @@ class TestSampler:
         assert sample_step(kernel, (1, 1), rng) == (1, 1)
 
     def test_batched_draws_are_the_scalar_draws(self):
-        # criterion 10's seven chains and states
-        prob_set, partition = seeded_kclass(4, 2, seed=[515, 0])
-        word = permcore.project((2, 1, 4, 3), partition)
-        big_class = 1 + partition.sizes.index(max(partition.sizes))
-        cases = [
-            (AdjacentTranspositionChain(prob_set), (2, 1, 4, 3)),
-            (ClassTranspositionChain(prob_set, partition), (2, 1, 4, 3)),
-            (SameClassChain(prob_set, partition, big_class), (2, 1, 4, 3)),
-            (CrossClassChain(prob_set, partition), word),
-            (ParticleProcessChain(prob_set, partition), word),
-            (TreeSwapChain(treerep.parse_tree(EXAMPLE_TREE)), (6, 1, 4, 3, 2, 7, 5)),
-            (GeneralizedExclusionChain(word_hash_bias, 2, 3), (1, 0, 1, 0, 0)),
-        ]
-        for kernel, state in cases:
+        for kernel, state in _criterion_10_chains():
             scalar, batched = np.random.default_rng(90210), np.random.default_rng(90210)
             expected = [sample_step(kernel, state, scalar) for _ in range(10_000)]
             targets, picks = sample_steps(kernel, state, batched, 10_000)
@@ -570,6 +574,25 @@ class TestSampler:
         monkeypatch.setattr(kernels, "_ROW_CACHE_MAX", cap)
         assert walk() == uncapped
         assert len(kernel._row_cache) == cap
+
+    @pytest.mark.parametrize("cap", [None, 3], ids=["below-cap", "at-cap"])
+    def test_every_chain_walks_as_its_rows_alone_give(self, monkeypatch, cap):
+        # sample_step reads a cached row straight from the cache: the walk is
+        # the one _row gives, while the cache fills and once it is full
+        if cap is not None:
+            monkeypatch.setattr(kernels, "_ROW_CACHE_MAX", cap)
+        for (kernel, start), (twin, _) in zip(_criterion_10_chains(), _criterion_10_chains()):
+            sampled, by_row = [start], [start]
+            walk_rng, row_rng = np.random.default_rng(11), np.random.default_rng(11)
+            for _ in range(300):
+                sampled.append(sample_step(kernel, sampled[-1], walk_rng))
+                targets, cum = twin._row(by_row[-1])
+                by_row.append(targets[bisect.bisect_right(cum, row_rng.random())])
+            assert sampled == by_row
+            if cap is None:
+                assert len(kernel._row_cache) == len(set(sampled[:-1])) < kernels._ROW_CACHE_MAX
+            else:
+                assert len(set(sampled)) > cap and len(kernel._row_cache) == cap
 
     def test_row_cache_holds_the_sampled_spaces(self):
         # the 5040 permutations of seven items and the 924 words of (6, 6)

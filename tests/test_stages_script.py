@@ -4,6 +4,7 @@ than silently changing what the script times."""
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -41,6 +42,17 @@ def test_a_child_run_records_every_stage_and_both_digests():
     assert record["exclusion.hitting_time_to_top.s"] > 0
     assert record["steps"] > 0 and record["kernels.word_hash_bias.calls"] == 0
     assert record["peak_rss_mb"] > 0
+
+
+def test_a_child_run_counts_the_bias_calls_of_the_pool_workers():
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--one",
+                           "hitting-word-hash@5x5", str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout.splitlines()[-1])
+    assert record["exit"] == 0 and record["kernels.word_hash_bias.calls"] > 0
+    if len(os.sched_getaffinity(0)) > 1:
+        assert record["workers_peak_rss_mb"] > 0  # the pool's workers
 
 
 def test_no_stage_of_the_committed_a_a_run_reads_resolved():
