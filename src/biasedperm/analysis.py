@@ -8,8 +8,9 @@ next-permutation enumerator lists every space (``enumerate_states``), and
 irreducibility check, the stationary solve, the detailed-balance scan, the
 spectral gap, the TV scan and the congestion constant take the CSR matrix
 as it is and accept a dense array by converting it with ``sp.csr_matrix``;
-so does ``verify_decomposition``, which slices each block's rows and
-columns out of the CSR as small dense arrays.  ``build_matrix`` is the
+so does ``verify_decomposition``, which takes its partition as one
+integer block label per state and slices each block's rows and columns
+out of the CSR as small dense arrays.  ``build_matrix`` is the
 dense form, for callers that want one.  Besides the laws of the
 worst-start TV scan, the only n x n arrays this allocates are the matrix
 ``build_matrix`` returns, the linear system of ``stationary_exact`` and,
@@ -48,8 +49,8 @@ from .exclusion import area, bottom_word, top_word
 from .kernels import (AdjacentTranspositionChain, ChainKernel, ClassTranspositionChain,
                       GeneralizedExclusionChain)
 from .model import (DEFAULT_BUDGET, ClassPartition, ProbabilitySet, _usable_cores,
-                    check_memory, check_weak_monotonicity, parse_int, random_monotone_set,
-                    uniform_set, validate_kclass)
+                    check_memory, check_weak_monotonicity, parse_int, parse_real,
+                    random_monotone_set, uniform_set, validate_kclass)
 
 _BALANCE_TOL = 1e-8  # detailed-balance violation spectral_gap accepts as reversible
 _RATIO_TOL = 1e-9  # relative imbalance of a stored pair the edge-ratio pi accepts
@@ -547,6 +548,14 @@ def check_horizon(tmax) -> int | None:
     return tmax
 
 
+def _check_eps(eps) -> float:
+    """``eps`` read as a real (``parse_real``), refused unless finite and > 0."""
+    eps = parse_real(eps, "eps")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValidationError(f"eps must be a finite real > 0, got {eps}")
+    return eps
+
+
 def _tau(curve, eps: float) -> int:
     """1 + the last t with curve[t] > eps, or 0 if there is none.
 
@@ -572,8 +581,7 @@ def mixing_time_exact(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray, eps: flo
     ``_TV_HORIZON``, and a curve still above eps at the end of the scan,
     exceed the budget; non-monotone curves are rejected.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    eps = _check_eps(eps)
     end = check_horizon(tmax)
     curve = []
     with closing(_tv_iter(matrix, pi)) as it:
@@ -622,8 +630,7 @@ def mixing_bracket(kernel: ChainKernel, eps: float,
             "mixing_bracket needs an exclusion chain with a constant bias; the "
             "monotone coupling behind the upper bound is not established otherwise"
         )
-    if eps <= 0:
-        raise ValidationError("eps must be positive")
+    eps = _check_eps(eps)
     space = space_for_kernel(kernel, budget=budget)
     matrix = build_csr(kernel, space)
     areas = np.array([area(s) for s in space.states], dtype=float)
@@ -684,42 +691,40 @@ class DecompositionReport:
 
 
 def verify_decomposition(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray,
-                         blocks) -> DecompositionReport:
+                         labels) -> DecompositionReport:
     """Evaluate the restriction/projection gap inequality on a state partition.
 
-    Restrictions reject moves that leave their block (the rejected mass
-    moves to the diagonal); the projection aggregates flow between blocks
-    weighted by the stationary distribution.  Returns all gaps and the
-    slack of gap(P) >= (1/2) gap(projection) min_i gap(restriction_i).
+    The partition is one integer label per state, block b holding the
+    states labelled b; the labels must be 0..m-1, each used.  Restrictions
+    reject moves that leave their block (the rejected mass moves to the
+    diagonal); the projection aggregates flow between blocks, in label
+    order, weighted by the stationary distribution.  Returns all gaps and
+    the slack of gap(P) >= (1/2) gap(projection) min_i gap(restriction_i).
     An internally disconnected block simply reports restriction gap 0.
-    Each block's rows are sliced out of the CSR as a dense array, so CSR
-    and dense input give equal reports.
+    Each block's rows are sliced out of the CSR as a dense array, in
+    ascending state order, so CSR and dense input give equal reports.
     """
     matrix = sp.csr_matrix(matrix)
     n = matrix.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    for b in blocks:
-        for i in b:
-            if seen[i]:
-                raise ValidationError(f"state {i} appears in two blocks")
-            seen[i] = True
-    if not seen.all():
-        raise ValidationError("blocks do not cover the state space")
-
-    indices = [np.asarray(sorted(b), dtype=int) for b in blocks]
+    try:  # ValueError: a ragged list, such as a list of index lists, or no states
+        labels = np.asarray(labels)
+        valid = (labels.shape == (n,) and labels.dtype.kind in "iu" and labels.min() >= 0
+                 and labels.max() < n and np.bincount(labels.astype(np.int64)).all())
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValidationError("blocks must be one integer label per state, 0..m-1 all used")
+    indices = _members(labels.astype(np.int64))
+    m = len(indices)
     restriction_gaps = []
-    for idx in indices:
-        sub = matrix[idx][:, idx].toarray()
-        off = sub.sum(axis=1) - np.diag(sub)
-        np.fill_diagonal(sub, 1.0 - off)
-        pi_b = pi[idx] / pi[idx].sum()
-        restriction_gaps.append(spectral_gap(sub, pi_b))
-
-    m = len(blocks)
     proj = np.zeros((m, m))
     mass = np.zeros(m)
     for bi, idx in enumerate(indices):
         mass[bi] = pi[idx].sum()
+        sub = matrix[idx][:, idx].toarray()
+        off = sub.sum(axis=1) - np.diag(sub)
+        np.fill_diagonal(sub, 1.0 - off)
+        restriction_gaps.append(spectral_gap(sub, pi[idx] / mass[bi]))
         flow = pi[idx, None] * matrix[idx].toarray()
         for bj, other in enumerate(indices):
             proj[bi, bj] = flow[:, other].sum()
@@ -732,14 +737,28 @@ def verify_decomposition(matrix: sp.spmatrix | np.ndarray, pi: np.ndarray,
                                restriction_gaps=tuple(restriction_gaps), slack=slack)
 
 
-def blocks_by_class_positions(space: StateSpace, classes) -> list[list[int]]:
-    """Partition a word space by the positions of the given class labels."""
+def _group(keys) -> tuple[list, np.ndarray]:
+    """(the distinct keys in ascending order, each item's label: the rank of
+    its key among them).  ``keys`` is read once, so a generator keeps only
+    the distinct keys alive."""
+    ids = {}  # key -> its index in order of first appearance
+    first = np.array([ids.setdefault(key, len(ids)) for key in keys], dtype=np.int64)
+    distinct = sorted(ids)
+    return distinct, np.argsort([ids[key] for key in distinct])[first]
+
+
+def _members(labels: np.ndarray) -> list[np.ndarray]:
+    """Per label 0..max, the items carrying it, in ascending order."""
+    return np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
+
+
+def blocks_by_class_positions(space: StateSpace, classes) -> np.ndarray:
+    """Block labels of a word space partitioned by the positions of the
+    given class labels: one label per word, the blocks numbered in
+    ascending order of those positions."""
     classes = set(classes)
-    groups: dict[tuple, list[int]] = {}
-    for i, word in enumerate(space.states):
-        key = tuple(p for p, label in enumerate(word) if label in classes)
-        groups.setdefault(key, []).append(i)
-    return [groups[k] for k in sorted(groups)]
+    return _group(tuple(p for p, label in enumerate(word) if label in classes)
+                  for word in space.states)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -930,16 +949,12 @@ def collect_canonical_paths(kernel: ClassTranspositionChain,
     """
     _mtk(kernel)
     mirrored = _mirrored(kernel)
-    groups: dict[tuple, list[int]] = {}
-    for s, state in enumerate(space.states):
-        groups.setdefault(kernel.classes(state), []).append(s)
-    words = [(word, np.array(members), kernel.moves(space.states[members[0]]))
-             for word, members in groups.items()]
+    keys, labels = _group(kernel.classes(state) for state in space.states)
+    words = [(word, members, kernel.moves(space.states[members[0]]))
+             for word, members in zip(keys, _members(labels))]
     # the paths of state s take the slots start[s] .. start[s + 1] - 1, one
     # per move in the kernel's order
-    counts = np.zeros(len(space), np.int64)
-    for _, members, moves in words:
-        counts[members] = len(moves)
+    counts = np.array([len(moves) for _, _, moves in words], np.int64)[labels]
     start = np.concatenate(([0], np.cumsum(counts)))
     total = int(start[-1])
     prob = np.empty(total)
@@ -1126,6 +1141,7 @@ def fill_spot_check(n: int, count: int, seed: int, budget: int = DEFAULT_BUDGET)
     permutations are enumerated within the budget.
     """
     count = parse_int(count, "count", low=1)
+    seed = parse_int(seed, "seed", low=0)
     space = enumerate_states("permutations", n=n, budget=budget)
     n = len(space.states[0])
     uniform_matrix = build_csr(AdjacentTranspositionChain(uniform_set(n)), space)

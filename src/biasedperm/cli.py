@@ -11,7 +11,8 @@ byte-identical CSVs.
 Handlers only compute: they parse their fields, call ``analysis`` and
 hand back raw values, with None for an empty cell.  ``_Run`` fills in the
 results row's experiment and parameter hash, the writer formats every
-cell, and ``run_config`` turns a refusal into its exit code.
+cell, and ``run_config``, which first checks the config's fields and
+experiment (``_check_config``), turns a refusal into its exit code.
 
 Exit codes: 0 success, 1 validation error (a malformed config, a negative
 seed, an output directory that cannot be written), 2 budget exceeded,
@@ -115,7 +116,8 @@ class _Run:
         return space, matrix, analysis.stationary_exact(matrix)
 
 
-def load_config(path) -> dict:
+def load_config(path):
+    """The JSON value of a config file, checked by ``run_config``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -124,15 +126,20 @@ def load_config(path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    return cfg
+
+
+def _check_config(cfg):
+    """Refuse a config that is not a dict of known fields naming a known
+    experiment."""
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     unknown = set(cfg) - ALLOWED_KEYS
     if unknown:
-        raise ValidationError(f"unknown config fields: {sorted(unknown)}")
+        raise ValidationError(f"unknown config fields: {sorted(unknown, key=str)}")
     if not isinstance(cfg.get("experiment"), str) or cfg["experiment"] not in HANDLERS:
         raise ValidationError("config needs \"experiment\", one of "
                               + ", ".join(HANDLERS))
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +238,12 @@ def _exp_decompose(run: _Run):
     # closed-form weights: strongly biased word chains have stationary
     # masses below the generic solver's resolution
     pi = analysis.stationary_formula(space, kernel.prob_set, kernel.partition)
-    blocks = analysis.blocks_by_class_positions(space, fix)
-    report = analysis.verify_decomposition(matrix, pi, blocks)
+    labels = analysis.blocks_by_class_positions(space, fix)
+    report = analysis.verify_decomposition(matrix, pi, labels)
     run.detail_header = ["gap_full", "gap_projection", "min_restriction_gap",
                          "slack", "blocks"]
-    run.detail.append([report.gap_full, report.gap_projection,
-                       report.min_restriction_gap, report.slack, len(blocks)])
+    run.detail.append([report.gap_full, report.gap_projection, report.min_restriction_gap,
+                       report.slack, len(report.restriction_gaps)])
     run.result(len(space.states[0]), gap=report.gap_full, slack=report.slack)
     run.summary.append(
         f"gap {report.gap_full:.6g} >= 1/2 * {report.gap_projection:.6g} * "
@@ -461,6 +468,7 @@ def _refused(exc) -> int:
 def run_config(cfg: dict, out_dir=None, seed=None, budget=None, quiet=False) -> int:
     """Execute an already-parsed experiment config; returns the exit code."""
     try:
+        _check_config(cfg)
         resolved_seed = model.parse_int(seed if seed is not None else cfg.get("seed", 0),
                                         "seed", low=0)
         resolved_budget = model.parse_int(budget if budget is not None else

@@ -21,7 +21,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceededError, ValidationError
-from .kernels import GeneralizedExclusionChain, _exclusion_sizes, sample_step, square_of
+from .kernels import (GeneralizedExclusionChain, _exclusion_sizes, bias_value, sample_step,
+                      square_of)
 from .model import DEFAULT_BUDGET, _usable_cores, parse_int
 from .permcore import transpose
 
@@ -171,7 +172,8 @@ def _boundedness_over(words, bias, exact: bool) -> BiasReport:
     for word in words:
         for i in range(1, len(word)):
             if word[i - 1] == 1 and word[i] == 0:
-                ratio = bias(word, i) / bias(transpose(word, i, i + 1), i)
+                swapped = transpose(word, i, i + 1)
+                ratio = bias_value(bias, word, i) / bias_value(bias, swapped, i)
                 if best is None or ratio < best[0]:
                     best = (ratio, word, i)
     if best is None:
@@ -220,8 +222,10 @@ def hitting_time_to_top(bias, n1: int, n0: int, trials: int, seed: int) -> Hitti
     A bias callback is evaluated at most once per (word, site) pair in each
     process that runs trials: the trials of one process share a memo of its
     values (up to ``_HIT_MEMO_MAX`` entries), so the bias must be a function
-    of (word, i) alone.  On the pool the callback runs in the workers, and
-    its side effects, such as counting calls, stay there.
+    of (word, i) alone, and each value must lie strictly in (0, 1), as in
+    the kernel's rows (``kernels.bias_value``).  On the pool the callback
+    runs in the workers, and its side effects, such as counting calls, stay
+    there.
     """
     n1, n0 = _exclusion_sizes(bias, n1, n0)
     trials = parse_int(trials, "trials", low=1)
@@ -284,7 +288,8 @@ def _hit_span(job: tuple, span: tuple[int, int]) -> list[int]:
 
 def _one_hit(bias, n1: int, n0: int, seed: int, memo: dict) -> int:
     """Steps of one trial; callback values are read from and added to memo,
-    the memo of the process that runs the trial.
+    the memo of the process that runs the trial, each checked by
+    ``bias_value`` as it is first computed.
 
     The word is kept twice: as a list, and as an integer code with bit
     n - 1 - j holding word[j].  A swap at site i exchanges two differing
@@ -315,7 +320,7 @@ def _one_hit(bias, n1: int, n0: int, seed: int, memo: dict) -> int:
                 key = code * n + i
                 p = memo.get(key)
                 if p is None:
-                    p = bias(tuple(word), i)
+                    p = bias_value(bias, tuple(word), i)
                     if len(memo) < _HIT_MEMO_MAX:
                         memo[key] = p
             if coin < p:

@@ -182,6 +182,17 @@ def constant_bias(p: float):
     return bias
 
 
+def bias_value(bias, word, i: int) -> float:
+    """``bias(word, i)`` as a float, refused unless it lies strictly in (0, 1)."""
+    p = float(bias(word, i))
+    if not 0.0 < p < 1.0:
+        raise ValidationError(
+            f"bias callback returned {p} at position {i} of {word}; "
+            "swap probabilities must lie strictly in (0, 1)"
+        )
+    return p
+
+
 def square_of(word, i: int) -> tuple[int, int]:
     """Unit square (column, row), 1-based, added or removed by a swap at i.
 
@@ -476,18 +487,8 @@ class GeneralizedExclusionChain(ChainKernel):
 
     def transitions(self, state):
         word = self.check_state(state)
-        bias = self.bias
-
-        def swap_prob(i: int) -> float:
-            p = float(bias(word, i))
-            if not 0.0 < p < 1.0:
-                raise ValidationError(
-                    f"bias callback returned {p} at position {i} of {word}; "
-                    "swap probabilities must lie strictly in (0, 1)"
-                )
-            return p
-
-        return _transposition_row(word, _adjacent_moves(word, swap_prob))
+        return _transposition_row(word, _adjacent_moves(
+            word, lambda i: bias_value(self.bias, word, i)))
 
 
 def make_kernel(name: str, *, prob_set=None, partition=None, tree=None,

@@ -12,7 +12,6 @@ C(n, 2) probabilities and underflows in linear space near n = 60.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -56,18 +55,9 @@ def log_weights(states, prob_set: ProbabilitySet) -> np.ndarray:
     summed as one row, in the order a lone state's are: in its own layout
     a state's value would depend on the others listed with it."""
     idx = np.array(states, dtype=int) - 1
-    rows, cols = _upper_pairs(idx.shape[1])
+    rows, cols = np.triu_indices(idx.shape[1], k=1)
     gathered = np.ascontiguousarray(prob_set.p[idx[:, rows], idx[:, cols]])
     return np.log(gathered).sum(axis=1)
-
-
-@lru_cache(maxsize=64)
-def _upper_pairs(n: int) -> tuple:
-    """Index arrays of the strict upper triangle of an n x n array, read-only."""
-    rows, cols = np.triu_indices(n, k=1)
-    rows.flags.writeable = False
-    cols.flags.writeable = False
-    return rows, cols
 
 
 def transpose(sigma, i: int, j: int) -> tuple:

@@ -236,8 +236,8 @@ def test_criterion_5_decomposition():
         # linear solver's noise floor; criterion 1 pins the two routes to
         # each other where both are computable
         pi = stationary_formula(space, prob_set, partition)
-        blocks = blocks_by_class_positions(space, [1])
-        rep = analysis.verify_decomposition(matrix, pi, blocks)
+        labels = blocks_by_class_positions(space, [1])  # one block label per word
+        rep = analysis.verify_decomposition(matrix, pi, labels)
         assert rep.holds and rep.slack >= 0
         slacks.append(f"{sizes}: slack={rep.slack:.4f}")
     report(5, True, "restriction/projection inequality holds with nonnegative "

@@ -1119,7 +1119,7 @@ class TestDecomposition:
         space = enumerate_states("permutations", n=3)
         matrix = build_matrix(AdjacentTranspositionChain(ps), space)
         pi = stationary_exact(matrix)
-        report = verify_decomposition(matrix, pi, [list(range(6))])
+        report = verify_decomposition(matrix, pi, np.zeros(6, dtype=int))
         gap = spectral_gap(matrix, pi)
         assert report.gap_projection == 1.0  # 1-state projection convention
         assert report.slack == pytest.approx(gap - 0.5 * gap)
@@ -1130,7 +1130,7 @@ class TestDecomposition:
         space = enumerate_states("permutations", n=3)
         matrix = build_matrix(AdjacentTranspositionChain(ps), space)
         pi = stationary_exact(matrix)
-        report = verify_decomposition(matrix, pi, [[i] for i in range(6)])
+        report = verify_decomposition(matrix, pi, np.arange(6))
         assert report.min_restriction_gap == 1.0
         assert report.holds
 
@@ -1141,9 +1141,11 @@ class TestDecomposition:
         space = enumerate_states("words", multiplicities=part.sizes)
         matrix = build_matrix(CrossClassChain(ps, part), space)
         pi = stationary_exact(matrix)
-        blocks = blocks_by_class_positions(space, [1])
-        assert len(blocks) == 4
-        report = verify_decomposition(matrix, pi, blocks)
+        labels = blocks_by_class_positions(space, [1])
+        # one block per position of the lone 1, numbered by that position
+        assert labels.tolist() == [word.index(1) for word in space.states]
+        report = verify_decomposition(matrix, pi, labels)
+        assert len(report.restriction_gaps) == 4
         assert report.holds
         assert report.slack >= 0
 
@@ -1157,14 +1159,48 @@ class TestDecomposition:
         pi = stationary_formula(space, ps, part)
         matrix = build_csr(kernel, space)
         for fix in ([1], [2, 3]):
-            blocks = blocks_by_class_positions(space, fix)
-            assert verify_decomposition(matrix, pi, blocks) == \
-                verify_decomposition(matrix.toarray(), pi, blocks)
+            labels = blocks_by_class_positions(space, fix)
+            assert verify_decomposition(matrix, pi, labels) == \
+                verify_decomposition(matrix.toarray(), pi, labels)
 
     def test_overlapping_blocks_rejected(self):
+        # the former list-of-blocks form is not one label per state
         matrix = np.array([[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="one integer label per state"):
             verify_decomposition(matrix, np.array([0.5, 0.5]), [[0, 1], [1]])
+
+    @pytest.mark.parametrize("labels", [
+        [[0, 1, 2], [3, 4, 5]],  # blocks, not labels
+        [0, 0, 0, 1, 1, -1],  # -1 once aliased state 5
+        [0, 0, 1, 1, 2],  # a state left out
+        [0, 0, 1, 1, 2, 6],
+        [0, 0, 2, 2, 3, 3],  # block 1 empty
+        [0.0, 0.0, 1.0, 1.0, 2.0, 2.0],
+        [True, True, False, False, True, True],
+        ["0"] * 6,
+    ])
+    def test_labels_that_are_not_a_partition_rejected(self, labels):
+        ps = constant_bias_set(3, 0.7)
+        space = enumerate_states("permutations", n=3)
+        matrix = build_csr(AdjacentTranspositionChain(ps), space)
+        with pytest.raises(ValidationError, match="one integer label per state"):
+            verify_decomposition(matrix, stationary_exact(matrix), labels)
+
+    def test_blocks_are_sliced_in_state_order_whatever_the_label_order(self):
+        part = ClassPartition.from_sizes((2, 2, 2))
+        ps = build_kclass(KClassParams(
+            part, {(1, 2): 0.6, (1, 3): 0.7, (2, 3): 0.8}))
+        kernel = CrossClassChain(ps, part)
+        space = space_for_kernel(kernel)
+        pi = stationary_formula(space, ps, part)
+        matrix = build_csr(kernel, space)
+        labels = blocks_by_class_positions(space, [1])
+        report = verify_decomposition(matrix, pi, labels)
+        reversed_labels = labels.max() - labels  # the same blocks, numbered backwards
+        again = verify_decomposition(matrix, pi, reversed_labels.astype(np.uint8))
+        assert again.restriction_gaps == report.restriction_gaps[::-1]
+        assert again.gap_full == report.gap_full
+        assert again.gap_projection == pytest.approx(report.gap_projection, abs=1e-13)
 
 
 CRITICAL_SNAPSHOTS = [

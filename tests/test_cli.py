@@ -83,6 +83,29 @@ class TestValidation:
         cfg = write_config(tmp_path, {"model": UNIFORM3, "chain": "mnn"})
         assert cli.run(cfg) == 1
 
+    @pytest.mark.parametrize("cfg,message", [
+        ({"experiment": "nope"}, "config needs \"experiment\""),
+        ({}, "config needs \"experiment\""),
+        (["x"], "config must be a JSON object"),
+        ({"model": UNIFORM3, "chain": "mnn", "experiment": "gap", "typo_key": 1},
+         "unknown config fields: ['typo_key']"),
+        ({"experiment": "gap", 1: 2, "b": 3}, "unknown config fields: [1, 'b']"),
+    ])
+    def test_run_config_gates_the_config_itself(self, tmp_path, capsys, cfg, message):
+        # run_config, which perfbench and the tests call directly, once raised
+        # KeyError or AttributeError here, and ran a config with a typo field
+        assert cli.run_config(cfg, out_dir=tmp_path / "out", quiet=True) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_a_config_file_holding_a_list_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert cli.run(path, out_dir=tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
     def test_budget_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "model": {"type": "kclass", "n": 6, "boundaries": [3],

@@ -165,6 +165,47 @@ class TestHitting:
         assert all(t > 0 for t in summary.trials)
 
 
+class TestBiasValueRule:
+    """The kernel's rows, the hitting loop and the boundedness scan read a
+    bias value by one rule: a float strictly in (0, 1)."""
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("value", ["nan", "0.0"])
+    def test_a_never_accepted_bias_ends_a_hitting_run(self, tmp_path, value, cores):
+        # a subprocess with a timeout: no coin is below NaN or 0, so a trial
+        # given either once ran forever
+        script = textwrap.dedent(f"""
+            from biasedperm import exclusion
+            from biasedperm.errors import ValidationError
+            exclusion._usable_cores = lambda: {cores}
+            try:
+                exclusion.hitting_time_to_top(lambda word, i: float({value!r}), 2, 2,
+                                              trials=4, seed=0)
+            except ValidationError as exc:
+                print(exc)
+            else:
+                raise SystemExit("the bias was accepted")
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"bias callback returned {float(value)} at position 2")
+
+    @pytest.mark.parametrize("value", [1.0, 1.5])
+    def test_a_bias_of_one_or_more_is_refused_by_hitting(self, value):
+        with pytest.raises(ValidationError, match=r"strictly in \(0, 1\)"):
+            hitting_time_to_top(lambda word, i: value, 2, 2, trials=1, seed=0)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, float("nan")])
+    def test_a_bias_outside_the_open_interval_is_refused_by_boundedness(self, value):
+        # 0 once ended in a ZeroDivisionError
+        with pytest.raises(ValidationError, match=r"strictly in \(0, 1\)"):
+            measure_boundedness(lambda word, i: value, 2, 2)
+
+
 def _reference_one_hit(bias, n1, n0, seed):
     """The hitting loop before the memo: one callback call per step."""
     if n1 == 0 or n0 == 0:

@@ -405,6 +405,8 @@ _BAD_INTEGERS = {
     "partition-n-fraction": lambda: ClassPartition(2.5, ()),
     "general-n-fraction": lambda: build_general(2.5, []),
     "fill-check-count-fraction": lambda: analysis.fill_spot_check(3, 2.5, 0),
+    "fill-check-seed-negative": lambda: analysis.fill_spot_check(3, 2, -1),
+    "fill-check-seed-fraction": lambda: analysis.fill_spot_check(3, 2, 1.5),
 }
 
 
@@ -412,6 +414,24 @@ _BAD_INTEGERS = {
 def test_library_integers_go_through_parse_int(name):
     with pytest.raises(ValidationError):
         _BAD_INTEGERS[name]()
+
+
+def _six_state_chain():
+    kernel = kernels.GeneralizedExclusionChain(kernels.constant_bias(0.75), 2, 2)
+    matrix = analysis.build_csr(kernel, analysis.space_for_kernel(kernel))
+    return kernel, matrix, analysis.stationary_exact(matrix)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -0.25, True, None, [0.25]])
+@pytest.mark.parametrize("call", ["mixing_time_exact", "mixing_bracket"])
+def test_library_eps_is_a_finite_real_above_0(call, eps):
+    # a NaN eps once gave tau = 0 on this chain, and a scan to the horizon
+    kernel, matrix, pi = _six_state_chain()
+    with pytest.raises(ValidationError, match="eps"):
+        if call == "mixing_time_exact":
+            analysis.mixing_time_exact(matrix, pi, eps)
+        else:
+            analysis.mixing_bracket(kernel, eps)
 
 
 def test_one_budget_default():

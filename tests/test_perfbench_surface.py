@@ -58,6 +58,25 @@ def test_tracer_installs_counts_and_uninstalls(tmp_path):
     assert tracer.counters["analysis.tv.steps"] > 0
 
 
+def test_a_traced_tv_scan_above_the_tracers_dense_size(tmp_path):
+    # 462 states, above the tracer's TV_DENSE_MAX of 256, where _count_tv sizes
+    # the scanned operator with np.count_nonzero: the CLI must hand the scan
+    # an operator that call accepts
+    tracer_module = _tracer_module()
+    assert tracer_module.TV_DENSE_MAX < 462
+    tracer = tracer_module.Tracer()
+    cfg = {"chain": "me", "bias": "constant:0.75", "n1": 5, "n0": 6,
+           "experiment": "tv", "tmax": 2}
+    tracer.install(API)
+    try:
+        code = cli.run_config(cfg, out_dir=tmp_path, seed=0, quiet=True)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counters["analysis.tv.steps"] == 3
+    assert tracer.counters["analysis.tv.bytes"] > 3 * 3 * 462 * 462 * 8
+
+
 def test_dense_cutoff_default_reads_as_run_context_reads_it():
     cutoff = inspect.signature(analysis.spectral_gap).parameters["dense_cutoff"].default
     assert isinstance(cutoff, int) and cutoff > 0

@@ -25,7 +25,9 @@ _spec.loader.exec_module(stages)
 def test_every_cli_case_passes_load_config(tmp_path, name):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(stages.CASES[name][0]))
-    assert cli.load_config(path) == stages.CASES[name][0]
+    cfg = cli.load_config(path)
+    assert cfg == stages.CASES[name][0]
+    cli._check_config(cfg)  # the fields run_config accepts
 
 
 def test_a_child_run_records_every_stage_and_both_digests():
